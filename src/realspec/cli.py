@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     DomainError,
+    InputError,
     NotACoverError,
     NotASectionError,
     NotLocallyFractionalError,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .explore import ExploreConfig, explore_question
 from .parsing import parse_poly, parse_ring
-from .polynomials import Poly, count_real_roots, factor, real_part
+from .polynomials import count_real_roots, factor, real_part
 from .rings import (
     CertificateStatus,
     RealRadicalCertificate,
@@ -35,6 +36,7 @@ from .rings import (
     SumOfSquares,
     classify,
     find_certificate,
+    real_radical,
     verify_certificate,
 )
 from .sheaves import (
@@ -51,7 +53,6 @@ from .sheaves import (
     verify_glue,
 )
 from .spectrum import (
-    PrimeKind,
     RealPrime,
     SubcoverCertificate,
     SubcoverStatus,
@@ -152,44 +153,58 @@ def _glue_cert_doc(ring: Ring, eq: Section, frac: SigmaFraction, cert: GlueCerti
     }
 
 
-def _verify_cert_doc(doc: dict) -> bool:
-    kind = doc["kind"]
-    ring = parse_ring(doc["ring"])
-    sos = SumOfSquares(tuple(ring.elem(parse_poly(t)) for t in doc["sos"]))
+def _doc_value(doc, key: str, kind: type, item: Optional[type] = None):
+    """doc[key], checked to have JSON type kind (a list of item, if given)."""
+    value = doc.get(key) if type(doc) is dict else None
+    if type(value) is not kind or (item and any(type(v) is not item for v in value)):
+        raise InputError(f"certificate document lacks {key!r}, or it has the wrong type")
+    return value
+
+
+def _doc_elem(ring: Ring, doc: dict, key: str):
+    return ring.elem(parse_poly(_doc_value(doc, key, str)))
+
+
+def _doc_elems(ring: Ring, doc: dict, key: str) -> tuple:
+    return tuple(ring.elem(parse_poly(t)) for t in _doc_value(doc, key, list, str))
+
+
+def _verify_cert_doc(doc) -> bool:
+    kind = _doc_value(doc, "kind", str)
+    ring = parse_ring(_doc_value(doc, "ring", str))
+    sos = SumOfSquares(_doc_elems(ring, doc, "sos"))
     if kind == "real-radical":
         cert = RealRadicalCertificate(
-            a=ring.elem(parse_poly(doc["element"])),
-            m=int(doc["m"]),
+            a=_doc_elem(ring, doc, "element"),
+            m=_doc_value(doc, "m", int),
             sos=sos,
-            cofactor=ring.elem(parse_poly(doc["cofactor"])),
-            ideal=ring.ideal(parse_poly(doc["ideal"])),
+            cofactor=_doc_elem(ring, doc, "cofactor"),
+            ideal=ring.ideal(parse_poly(_doc_value(doc, "ideal", str))),
         )
         return verify_certificate(cert)
     if kind == "subcover":
+        covers = _doc_elems(ring, doc, "covers")
+        indices = tuple(_doc_value(doc, "indices", list, int))
+        coeffs = _doc_elems(ring, doc, "coeffs")
+        if len(coeffs) != len(indices) or not all(0 <= i < len(covers) for i in indices):
+            raise InputError("subcover certificate needs one coefficient per index into covers")
         cert = SubcoverCertificate(
-            f=ring.elem(parse_poly(doc["f"])),
-            covers=tuple(ring.elem(parse_poly(g)) for g in doc["covers"]),
-            indices=tuple(int(i) for i in doc["indices"]),
-            coeffs=tuple(ring.elem(parse_poly(c)) for c in doc["coeffs"]),
-            m=int(doc["m"]),
-            sos=sos,
+            _doc_elem(ring, doc, "f"), covers, indices, coeffs, _doc_value(doc, "m", int), sos
         )
         return verify_subcover_certificate(cert)
     if kind == "glue":
-        f = ring.elem(parse_poly(doc["f"]))
+        f = _doc_elem(ring, doc, "f")
         patches = tuple(
-            LocalFraction(ring.elem(parse_poly(p["a"])), ring.elem(parse_poly(p["g"])))
-            for p in doc["patches"]
+            LocalFraction(_doc_elem(ring, p, "a"), _doc_elem(ring, p, "g"))
+            for p in _doc_value(doc, "patches", list, dict)
         )
-        eq = Section(ring, f, patches)
-        cert = GlueCertificate(
-            tuple(ring.elem(parse_poly(c)) for c in doc["coeffs"]), int(doc["k"]), sos
-        )
-        frac = SigmaFraction(
-            ring.elem(parse_poly(doc["numerator"])), SigmaDenominator(f, cert.k, sos)
-        )
-        return verify_glue(eq, frac, cert)
-    raise DomainError(f"unknown certificate kind {kind!r}")
+        coeffs = _doc_elems(ring, doc, "coeffs")
+        if len(coeffs) != len(patches):
+            raise InputError("glue certificate needs one coefficient per patch")
+        cert = GlueCertificate(coeffs, _doc_value(doc, "k", int), sos)
+        frac = SigmaFraction(_doc_elem(ring, doc, "numerator"), SigmaDenominator(f, cert.k, sos))
+        return verify_glue(Section(ring, f, patches), frac, cert)
+    raise InputError(f"unknown certificate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +229,6 @@ def _cmd_real_part(args):
 
 def _cmd_real_radical(args):
     ring = _ring(args)
-    from .rings import real_radical
-
     rad = real_radical(ring.ideal(parse_poly(args.poly)))
     return EXIT_OK, {"generator": str(rad.gen)}, [str(rad.gen)]
 
@@ -312,11 +325,14 @@ def _cmd_cert_find(args):
 
 
 def _cmd_cert_verify(args):
-    if args.file and args.file != "-":
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(sys.stdin)
+    try:
+        if args.file and args.file != "-":
+            with open(args.file, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.load(sys.stdin)
+    except (OSError, ValueError) as exc:  # unreadable file, or not JSON
+        raise InputError(f"cannot read certificate document: {exc}") from exc
     ok = _verify_cert_doc(doc)
     return EXIT_OK, {"verified": ok}, [f"verified: {str(ok).lower()}"]
 
@@ -518,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
-    except ParseError as exc:
+    except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

@@ -29,6 +29,11 @@ class EqualizeBlockedError(DomainError):
     """No equalizing exponent exists within the complete bound."""
 
 
+class InputError(ValueError):
+    """Malformed input beyond syntax: a bad option value, or a certificate
+    document with a missing or mistyped field."""
+
+
 class ParseError(ValueError):
     """Syntax error in a polynomial or ring expression."""
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .errors import InputError
 from .polynomials import Poly
 from .rings import (
     Ring,
@@ -48,6 +49,13 @@ class ExploreConfig:
     deg_max: int = 8
     seed: int = 0
     bounds: SearchBounds = DEFAULT_BOUNDS
+
+    def __post_init__(self):
+        if self.rings < 0 or self.trials < 0:
+            raise InputError("rings and trials must be nonnegative")
+        lo, hi = _MODULUS_DEGREES
+        if max(self.deg_min, lo) > min(self.deg_max, hi):
+            raise InputError(f"degree window must meet {lo}..{hi}, the degrees sampled")
 
 
 @dataclass
@@ -143,6 +151,9 @@ class ExplorationReport:
 # deterministic sampling
 
 
+# A sampled modulus is one to three linear factors, times a repeated linear
+# factor or a quadratic, and perhaps one more quadratic: degree 2 to 7.
+_MODULUS_DEGREES = (2, 7)
 _REAL_FACTORS = [Poly([a, 1]) for a in range(-4, 5)]  # x - (-a)
 _NONREAL_FACTORS = [
     Poly([1, 0, 1]),  # x^2 + 1
@@ -168,7 +179,7 @@ def sample_semireal_nonreal_ring(rng: random.Random, deg_min: int, deg_max: int)
         ring = Ring.quotient(modulus)
         if deg_min <= modulus.degree <= deg_max and ring.is_semireal and not ring.is_real:
             return ring
-    raise AssertionError("sampler failed to produce a ring within the degree window")
+    raise InputError(f"no semi-real, non-real ring of degree {deg_min}..{deg_max} in 200 draws")
 
 
 def _random_elem(rng: random.Random, ring: Ring, max_deg: int = 2) -> RingElem:

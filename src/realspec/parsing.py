@@ -9,6 +9,8 @@ Grammar for polynomials over the variable x (tightest binding first):
     atom:    NAT ['/' NAT] | 'x' | '(' expr ')'
 
 There is no general division; NAT '/' NAT is an exact rational literal.
+Parentheses nest at most MAX_NESTING deep, which keeps the recursive
+descent well inside Python's recursion limit.
 Ring descriptions are "Q[x]" or "Q[x]/(<poly>)". Printing (Poly.__str__)
 round-trips through parse_poly.
 """
@@ -23,6 +25,7 @@ from .polynomials import Poly
 from .rings import Ring
 
 MAX_EXPONENT = 1 << 16
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -108,11 +112,12 @@ class _Parser:
                 return value
 
     def unary(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        negations = 0
+        while self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            negations += 1
+        value = self.power()
+        return -value if negations % 2 else value
 
     def power(self) -> Poly:
         base = self.atom()
@@ -150,9 +155,13 @@ class _Parser:
             self.advance()
             return Poly.x()
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.column)
             self.advance()
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected a number, 'x' or '('", tok.column)
 

@@ -7,14 +7,27 @@ the rest of the library runs on: monic gcd with Bezout coefficients,
 squarefree parts, complete factorization over Q, Sturm real-root counting,
 and the real part (the monic product of the real-rooted irreducible
 factors).
+
+``Poly`` keeps ``Fraction`` coefficients, but gcd, squarefree parts and
+Sturm counts run over integer coefficient lists (sympy's dense ``dup_*``
+routines over ZZ), which avoids the coefficient growth of Euclid over Q.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
+
+import sympy
+from sympy.polys.densearith import dup_prem
+from sympy.polys.densetools import dup_diff
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.sqfreetools import dup_sqf_part
 
 from .errors import DomainError
 
@@ -261,28 +274,22 @@ _X = Poly([0, 1])
 # gcd / Bezout
 
 
+def _to_zz(coeffs: tuple[Fraction, ...]) -> list[int]:
+    """Multiple by the lcm of the denominators, as sympy's dense list over ZZ."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+
+
+def _monic_from_zz(dense: list[int]) -> Poly:
+    lead = dense[0]
+    return Poly([Fraction(c, lead) for c in reversed(dense)])
+
+
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def gcd_many(ps: Sequence[Poly]) -> Poly:
-    """Monic gcd of a family, at least one member nonzero."""
-    acc = Poly.zero()
-    for p in ps:
-        if p.is_zero():
-            continue
-        acc = p if acc.is_zero() else gcd(acc, p)
-        if acc.is_one():
-            return acc
-    if acc.is_zero():
-        raise DomainError("gcd of an all-zero family is undefined")
-    return acc
+    return _monic_from_zz(dup_gcd(_to_zz(p.coeffs), _to_zz(q.coeffs), ZZ))
 
 
 def lcm(p: Poly, q: Poly) -> Poly:
@@ -336,11 +343,7 @@ def squarefree_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p."""
     if p.is_zero():
         raise DomainError("squarefree part of 0 is undefined")
-    if p.is_constant():
-        return Poly.one()
-    d = p.derivative()
-    g = gcd(p, d)
-    return (p // g).monic()
+    return _monic_from_zz(dup_sqf_part(_to_zz(p.coeffs), ZZ))
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +377,6 @@ def factor(p: Poly) -> Factorization:
 
 @lru_cache(maxsize=None)
 def _factor_cached(coeffs: tuple[Fraction, ...]) -> Factorization:
-    import sympy
-
     if len(coeffs) == 1:
         return Factorization(coeffs[0], ())
     sym = sympy.Poly(list(reversed(coeffs)), _SYMPY_X, domain="QQ")
@@ -396,13 +397,7 @@ def _factor_cached(coeffs: tuple[Fraction, ...]) -> Factorization:
     return Factorization(unit, tuple(pairs))
 
 
-def _sympy_x():
-    import sympy
-
-    return sympy.Symbol("x")
-
-
-_SYMPY_X = _sympy_x()
+_SYMPY_X = sympy.Symbol("x")
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -416,42 +411,6 @@ def is_irreducible(p: Poly) -> bool:
 # Sturm real-root counting
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return chain
-
-
-def _sign(value: Fraction) -> int:
-    return (value > 0) - (value < 0)
-
-
-def _sign_at_pos_inf(p: Poly) -> int:
-    return _sign(p.leading) if not p.is_zero() else 0
-
-def _sign_at_neg_inf(p: Poly) -> int:
-    if p.is_zero():
-        return 0
-    s = _sign(p.leading)
-    return s if p.degree % 2 == 0 else -s
-
-
-def _variations(signs: Iterable[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
 def count_real_roots(p: Poly) -> int:
     """Number of distinct real roots, by Sturm's theorem on the squarefree part."""
     if p.is_zero():
@@ -461,14 +420,25 @@ def count_real_roots(p: Poly) -> int:
 
 @lru_cache(maxsize=None)
 def _count_real_roots_cached(coeffs: tuple[Fraction, ...]) -> int:
-    p = Poly(coeffs)
-    sf = squarefree_part(p)
-    if sf.is_constant():
+    # Primitive Sturm sequence over ZZ: each pseudo-remainder lc(g)^(d+1) * r
+    # is scaled back to a positive multiple of the true remainder r, then
+    # negated and divided by its content.
+    seq = [dup_sqf_part(_to_zz(coeffs), ZZ)]
+    if len(seq[0]) <= 1:
         return 0
-    chain = _sturm_chain(sf)
-    at_neg = _variations(_sign_at_neg_inf(q) for q in chain)
-    at_pos = _variations(_sign_at_pos_inf(q) for q in chain)
-    return at_neg - at_pos
+    seq.append(dup_diff(seq[0], 1, ZZ))
+    while True:
+        f, g = seq[-2], seq[-1]
+        r = dup_prem(f, g, ZZ)
+        if not r:
+            break
+        content = math.gcd(*r)
+        if g[0] > 0 or (len(f) - len(g)) % 2:
+            content = -content
+        seq.append([c // content for c in r])
+    at_pos = [q[0] > 0 for q in seq]
+    at_neg = [(q[0] > 0) == (len(q) % 2 == 1) for q in seq]
+    return sum(map(operator.ne, at_neg, at_neg[1:])) - sum(map(operator.ne, at_pos, at_pos[1:]))
 
 
 def has_real_root(p: Poly) -> bool:

@@ -18,6 +18,7 @@ from .errors import DomainError, RingMismatchError
 from .polynomials import (
     Poly,
     Factorization,
+    count_real_roots,
     ext_gcd,
     factor,
     gcd,
@@ -227,10 +228,11 @@ class Ideal:
         return f"({self.gen})"
 
 
-def ideal_sum(ideals: Iterable[Ideal], ring: Ring) -> Ideal:
+def ideal_sum(ring: Ring, gens: Iterable[RingElem]) -> Ideal:
+    """The ideal the family generates; the zero ideal for an empty family."""
     acc = ring.zero_ideal()
-    for i in ideals:
-        acc = acc.sum(i)
+    for g in gens:
+        acc = acc.sum(ring.ideal(g))
     return acc
 
 
@@ -321,10 +323,16 @@ def real_radical(ideal: Ideal) -> Ideal:
 
 
 def real_radical_member(ideal: Ideal, a: RingElem) -> bool:
-    rad = real_radical(ideal)
-    if rad.gen.is_zero():
+    """Strip from gen every factor it shares with a (multiplicities too, by
+    repeated gcd); a is a member iff what remains has no real root."""
+    gen = ideal.gen
+    if gen.is_zero():
         return a.is_zero()
-    return rad.gen.divides(a.rep)
+    d = gcd(gen, a.rep)
+    while not d.is_one():
+        gen = gen // d
+        d = gcd(gen, d)
+    return count_real_roots(gen) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ from .errors import (
     OutOfDomainError,
     RingMismatchError,
 )
-from .polynomials import Poly, bezout_many, real_part
+from .polynomials import bezout_many
 from .rings import (
     CertificateStatus,
-    Ideal,
     Ring,
     RingElem,
     SearchBounds,
@@ -36,17 +35,10 @@ from .rings import (
     annihilator,
     express_gen_as_multiple,
     find_certificate,
-    real_radical,
+    ideal_sum,
     real_radical_member,
 )
-from .spectrum import (
-    ClosedSet,
-    PrimeKind,
-    RealPrime,
-    cover_check,
-    prime_in,
-    v_of,
-)
+from .spectrum import RealPrime, cover_check, prime_in, v_of
 
 
 @dataclass(frozen=True)
@@ -348,7 +340,7 @@ def glue(s: Section, bounds: SearchBounds = DEFAULT_BOUNDS) -> GlueOutcome:
         return GlueOutcome(GlueStatus.BLOCKED)
 
     gs = eq.denominators()
-    sum_ideal = _patch_sum_ideal(ring, gs)
+    sum_ideal = ideal_sum(ring, gs)
     outcome = find_certificate(sum_ideal, s.f, bounds)
     if outcome.status is not CertificateStatus.FOUND:
         return GlueOutcome(GlueStatus.CERTIFICATE_EXHAUSTED, equalized=eq)
@@ -372,13 +364,6 @@ def glue(s: Section, bounds: SearchBounds = DEFAULT_BOUNDS) -> GlueOutcome:
     if not verify_glue(eq, result, glue_cert):
         raise AssertionError("internal error: glue result failed verification")
     return GlueOutcome(GlueStatus.GLUED, result, glue_cert, eq)
-
-
-def _patch_sum_ideal(ring: Ring, gs: Sequence[RingElem]) -> Ideal:
-    acc = ring.zero_ideal()
-    for g in gs:
-        acc = acc.sum(ring.ideal(g))
-    return acc
 
 
 def verify_glue(eq: Section, result: SigmaFraction, cert: GlueCertificate) -> bool:
@@ -417,14 +402,8 @@ def stalk_eq(e1: StalkElement, e2: StalkElement) -> bool:
     if e1.prime != e2.prime:
         raise DomainError("germs at different primes are incomparable")
     cross = e1.numerator * e2.denominator - e2.numerator * e1.denominator
-    rad = real_radical(annihilator(cross))
-    return not _ideal_inside_prime(rad, e1.prime)
-
-
-def _ideal_inside_prime(ideal: Ideal, p: RealPrime) -> bool:
-    if p.kind is PrimeKind.ZERO:
-        return ideal.gen.is_zero()
-    return ideal.gen.is_zero() or p.gen.divides(ideal.gen)
+    # a real prime contains an ideal exactly when it contains its real radical
+    return not e1.prime.contains_ideal(annihilator(cross))
 
 
 # ---------------------------------------------------------------------------

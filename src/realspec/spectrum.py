@@ -191,15 +191,11 @@ def enumerate_primes(ring: Ring) -> list[RealPrime]:
 # covers of basic opens
 
 
-def _sum_ideal(ring: Ring, fs: Sequence[RingElem]) -> Ideal:
-    return ideal_sum((ring.ideal(f) for f in fs), ring)
-
-
 def cover_check(f: RingElem, fs: Sequence[RingElem]) -> bool:
     """Exact decision of D(f) within the union of the D(f_i)."""
     if f.is_zero():
         raise DomainError("cover check needs a nonzero element")
-    return real_radical_member(_sum_ideal(f.ring, fs), f)
+    return real_radical_member(ideal_sum(f.ring, fs), f)
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,7 @@ def finite_subcover(
     if not cover_check(f, fs):
         raise NotACoverError("the family does not cover D(f)")
     fs = [ring.elem(g) for g in fs]
-    full = _sum_ideal(ring, fs)
+    full = ideal_sum(ring, fs)
     target = _radical_gen(full)
 
     kept: list[int] = []
@@ -264,11 +260,11 @@ def finite_subcover(
             acc = cand
     for i in list(kept):
         rest = [j for j in kept if j != i]
-        if _radical_gen(_sum_ideal(ring, [fs[j] for j in rest])) == target:
+        if _radical_gen(ideal_sum(ring, [fs[j] for j in rest])) == target:
             kept = rest
 
     subset = [fs[j] for j in kept]
-    sub_ideal = _sum_ideal(ring, subset)
+    sub_ideal = ideal_sum(ring, subset)
     outcome = find_certificate(sub_ideal, f, bounds)
     if outcome.status is not CertificateStatus.FOUND:
         return SubcoverOutcome(tuple(kept), SubcoverStatus.NO_CERTIFICATE)

@@ -2,7 +2,8 @@
 
 The root-counting oracle is deliberately a different algorithm from the
 library's Sturm chains: bisection with Descartes' rule of signs deciding
-when an interval isolates a single root.
+when an interval isolates a single root. It takes squarefree parts with its
+own Euclid over the rationals, not with the library's integer gcd.
 """
 
 from __future__ import annotations
@@ -10,8 +11,35 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from realspec import Poly, Ring, RingElem, gcd
-from realspec.polynomials import squarefree_part
+import sympy
+
+from realspec import Poly, Ring, RingElem
+
+
+def euclid_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd by Euclid's algorithm over Q; gcd(p, 0) = monic(p)."""
+    a, b = p, q
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def euclid_squarefree_part(p: Poly) -> Poly:
+    """Monic p / gcd(p, p'), by Euclid over Q."""
+    if p.is_constant():
+        return Poly.one()
+    return (p // euclid_gcd(p, p.derivative())).monic()
+
+
+_X = sympy.Symbol("x")
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    return sympy.Poly(list(reversed(p.coeffs)), _X, domain="QQ")
+
+
+def from_sympy(p: sympy.Poly) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
 
 
 def descartes_bound_01(q: Poly) -> int:
@@ -41,7 +69,7 @@ def _count_open_01(q: Poly) -> int:
 
 def count_real_roots_oracle(p: Poly) -> int:
     """Distinct real roots of p, independent of Sturm sequences."""
-    q = squarefree_part(p)
+    q = euclid_squarefree_part(p)
     if q.is_constant():
         return 0
     # Cauchy bound: all real roots lie strictly inside (-M, M)
@@ -61,6 +89,27 @@ def random_poly(rng: random.Random, max_deg: int, coeff: int = 6, monic: bool = 
     coeffs = [Fraction(rng.randint(-coeff, coeff)) for _ in range(deg)]
     lead = Fraction(1) if monic else Fraction(rng.choice([c for c in range(-coeff, coeff + 1) if c]))
     return Poly(coeffs + [lead])
+
+
+def random_rational_factor(rng: random.Random, max_deg: int = 4) -> Poly:
+    """Nonconstant, non-integer rational coefficients, leading sign either way."""
+    deg = rng.randint(1, max_deg)
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(deg)]
+    lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(2, 5))
+    return Poly(coeffs + [lead])
+
+
+def random_dense_product(rng: random.Random, max_deg: int = 40) -> tuple[Poly, list[Poly]]:
+    """A unit times powers of random rational factors, up to max_deg; also the factors."""
+    p = Poly.const(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5])))
+    factors = []
+    for _ in range(rng.randint(1, 8)):
+        f = random_rational_factor(rng)
+        e = rng.randint(1, 3)
+        if p.degree + e * f.degree <= max_deg:
+            p = p * f**e
+            factors.append(f)
+    return p, factors
 
 
 def random_nonzero_poly(rng: random.Random, max_deg: int, coeff: int = 6) -> Poly:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -69,6 +70,11 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "no-such-command")
         assert exc.value.code == 2
+
+    def test_deep_nesting(self, capsys):
+        code, _, err = run(capsys, "sturm", "(" * 3000 + "x" + ")" * 3000)
+        assert code == 2
+        assert "column 101" in err
 
     def test_bad_ring_flag(self, capsys):
         code, _, err = run(capsys, "classify", "--ring", "Q[x]/(2*x)")
@@ -200,6 +206,65 @@ class TestCertificates:
         assert (code, out.strip()) == (0, "verified: false")
 
 
+_CERT_COMMANDS = {
+    "real-radical": ["cert", "find", "--json", "x^2+1", "1"],
+    "subcover": ["subcover", "--json", "--f", "x^2-1", "x-1", "x+1", "x"],
+    "glue": [
+        "section", "glue", "--json", "--ring", "Q[x]/(x^2-x)",
+        "--f", "1", "--patch", "x:x", "--patch", "x-1:0",
+    ],
+}
+_MISSING = object()
+
+
+def _usage_error(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestMalformedCertificates:
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("real-radical", "cofactor", _MISSING),
+            ("real-radical", "m", "1"),
+            ("real-radical", "m", True),
+            ("real-radical", "sos", "x"),
+            ("real-radical", "element", "x^^2"),
+            ("subcover", "covers", _MISSING),
+            ("subcover", "indices", [0, 7]),
+            ("subcover", "coeffs", ["1", 2]),
+            ("subcover", "f", "(x"),
+            ("glue", "patches", [{"g": "x"}]),
+            ("glue", "patches", ["x:x"]),
+            ("glue", "k", 1.5),
+            ("glue", "coeffs", ["1"]),
+            ("glue", "numerator", "x$"),
+            ("glue", "ring", "R[x]"),
+        ],
+    )
+    def test_bad_field(self, capsys, tmp_path, kind, key, value):
+        code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
+        assert code == 0
+        doc = json.loads(out)
+        if value is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert _usage_error(*run(capsys, "cert", "verify", str(path)))
+
+    @pytest.mark.parametrize(
+        "text", ['{"kind":"glue"}', '{"kind":"other","ring":"Q[x]","sos":[]}', "[]", "{", ""]
+    )
+    def test_bad_document_on_stdin(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert _usage_error(*run(capsys, "cert", "verify"))
+
+    def test_missing_file(self, capsys, tmp_path):
+        assert _usage_error(*run(capsys, "cert", "verify", str(tmp_path / "none.json")))
+
+
 class TestExplore:
     def test_deterministic(self, capsys):
         args = ["explore-question", "--rings", "4", "--trials", "2", "--seed", "9"]
@@ -212,6 +277,14 @@ class TestExplore:
         code, out, _ = run(capsys, "explore-question", "--trials", "0")
         assert code == 0
         assert "totals: glued=0" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--deg-max", "1"], ["--deg-min", "9", "--deg-max", "12"], ["--rings", "-5"],
+         ["--trials", "-1"]],
+    )
+    def test_bad_arguments(self, capsys, flags):
+        assert _usage_error(*run(capsys, "explore-question", *flags))
 
     def test_never_claims_counterexample(self, capsys):
         code, out, _ = run(

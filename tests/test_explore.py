@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from realspec import InputError
 from realspec.explore import (
     ExploreConfig,
     explore_question,
@@ -44,3 +47,18 @@ def test_empty_config():
     report = explore_question(ExploreConfig(rings=5, trials=0, seed=3))
     assert report.rings == []
     assert sum(report.totals().values()) == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(rings=-5), dict(trials=-1), dict(deg_max=1), dict(deg_min=8, deg_max=12),
+     dict(deg_min=5, deg_max=4)],
+)
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(InputError):
+        ExploreConfig(**kwargs)
+
+
+def test_sampler_failure_is_typed():
+    with pytest.raises(InputError):
+        sample_semireal_nonreal_ring(random.Random(0), 9, 12)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspec import DomainError, ParseError, Poly, parse_poly, parse_ring, poly_to_str
+from realspec.parsing import MAX_NESTING
 from realspec.rings import RingKind
 
 
@@ -54,6 +55,16 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_poly("x$1")
         assert err.value.column == 2
+
+    def test_nesting_depth(self):
+        deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_poly(deepest) == Poly.x()
+        with pytest.raises(ParseError) as err:
+            parse_poly("(" * 3000 + "x" + ")" * 3000)
+        assert err.value.column == MAX_NESTING + 1
+        # unary minus is a loop, not recursion: any run of signs parses
+        assert parse_poly("-" * 3000 + "x") == Poly.x()
+        assert parse_poly("-" * 3001 + "x^2") == Poly([0, 0, -1])
 
     def test_whitespace(self):
         assert parse_poly("  x ^ 2  +  1 ") == Poly([1, 0, 1])

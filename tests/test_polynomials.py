@@ -19,7 +19,16 @@ from realspec import (
 )
 from realspec.parsing import parse_poly as P
 
-from helpers import count_real_roots_oracle, random_nonzero_poly, random_structured_poly
+from helpers import (
+    count_real_roots_oracle,
+    euclid_gcd,
+    euclid_squarefree_part,
+    from_sympy,
+    random_dense_product,
+    random_nonzero_poly,
+    random_structured_poly,
+    to_sympy,
+)
 
 
 def fractions(max_num=8, max_den=4):
@@ -225,3 +234,38 @@ class TestRealPart:
             p = random_structured_poly(rng, max_factors=3, max_deg=8)
             q = random_structured_poly(rng, max_factors=3, max_deg=8)
             assert real_part(p * q) == lcm(real_part(p), real_part(q))
+
+
+class TestIntegerKernelCrossCheck:
+    """gcd, squarefree part and Sturm count against sympy over QQ, on dense
+    products with multiplicities, non-integer coefficients and leading
+    coefficients of either sign."""
+
+    def test_against_sympy_randomized(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            common, _ = random_dense_product(rng, 14)
+            p, _ = random_dense_product(rng, 26)
+            q, _ = random_dense_product(rng, 26)
+            p, q = p * common, q * common
+            assert gcd(p, q) == from_sympy(to_sympy(p).gcd(to_sympy(q)).monic())
+            assert squarefree_part(p) == from_sympy(to_sympy(p).sqf_part().monic())
+            assert count_real_roots(p) == to_sympy(p).count_roots()
+
+    def test_against_euclid_small(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            p, _ = random_dense_product(rng, 10)
+            q, _ = random_dense_product(rng, 10)
+            assert gcd(p, q) == euclid_gcd(p, q)
+            assert squarefree_part(p) == euclid_squarefree_part(p)
+
+    def test_edge_cases(self):
+        p = P("-2/3*x^3 + x - 1/2")
+        assert gcd(p, Poly.zero()) == gcd(Poly.zero(), p) == p.monic()
+        assert gcd(P("-4"), Poly.zero()) == Poly.one()
+        assert gcd(P("3"), p) == gcd(P("1/2"), P("5")) == Poly.one()
+        assert squarefree_part(P("-7/2")) == Poly.one()
+        assert squarefree_part(P("-9*(x-1/3)^2")) == P("x - 1/3")
+        assert count_real_roots(P("-5")) == 0
+        assert count_real_roots(P("-(x^2-2)^3*(x^2+1)")) == 2

@@ -24,9 +24,9 @@ from realspec import (
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
-from realspec.polynomials import lcm
+from realspec.polynomials import lcm, real_part
 
-from helpers import random_elem, random_real_quotient, random_structured_poly
+from helpers import random_dense_product, random_elem, random_real_quotient, random_structured_poly
 
 
 BASE = Ring.rationals()
@@ -138,6 +138,41 @@ class TestRealRadical:
             for g in containing:
                 expected = lcm(expected, g)
             assert rad == ring.ideal(expected)
+
+    def test_member_against_real_part_randomized(self):
+        # the factor-free decision agrees with the factor-based rule
+        # real_part(gen) | a, in Q[x] and in Q[x]/(m)
+        rng = random.Random(47)
+
+        def some_of(factors):
+            out = Poly.const(rng.choice([1, -2]))
+            for f in rng.sample(factors, rng.randint(0, len(factors))):
+                out = out * f ** rng.randint(1, 2)
+            return out
+
+        members = 0
+        for trial in range(40):
+            m, factors = random_dense_product(rng, 30)
+            ring = Ring.quotient(m.monic()) if trial % 2 else BASE
+            ideal = ring.ideal(some_of(factors) if trial % 2 else m)
+            a = ring.elem(some_of(factors) * rng.choice([Poly.one(), P("x^2+1/3"), P("x-1/2")]))
+            expected = real_part(ideal.gen).divides(a.rep)
+            assert real_radical_member(ideal, a) == expected
+            members += expected
+        assert 8 <= members <= 32
+
+    def test_member_edge_cases(self):
+        x = BASE.elem(P("x"))
+        assert real_radical_member(BASE.zero_ideal(), BASE.zero())
+        assert not real_radical_member(BASE.zero_ideal(), x)
+        assert real_radical_member(BASE.ideal(P("-3*(x^2+1)^2")), BASE.zero())
+        assert real_radical_member(BASE.unit_ideal(), x)
+        assert real_radical_member(BASE.ideal(P("-2*x^3*(x^2+2)")), x)
+        ring = quot("x^3*(x^2+1)")
+        assert real_radical_member(ring.zero_ideal(), ring.elem(P("x^4+x^2")))
+        assert real_radical_member(ring.zero_ideal(), ring.zero())
+        assert not real_radical_member(ring.zero_ideal(), ring.elem(P("x^2+1")))
+        assert real_radical_member(ring.unit_ideal(), ring.one())
 
     def test_member_examples(self):
         assert real_radical_member(BASE.ideal(P("x^2*(x^2+1)")), BASE.elem(P("x")))

@@ -265,6 +265,9 @@ class TestStalks:
         assert (germ0.numerator, germ0.denominator) == (ring.zero(), ring.elem(P("x-1")))
         zero_germ = stalk_at(psi(frac(ring, "0", "1")), p0)
         assert stalk_eq(germ0, zero_germ)
+        # the germs differ where the cross difference is killed only inside the prime
+        assert not stalk_eq(germ0, stalk_at(psi(frac(ring, "1", "1")), p0))
+        assert not stalk_eq(germ, stalk_at(psi(frac(ring, "0", "1")), p1))
 
     def test_out_of_domain(self):
         ring = quot("x^2-x")
