@@ -5,12 +5,13 @@ output is available through --json. Certificate-producing commands emit
 JSON documents that `cert verify` re-checks from the document alone.
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition violation,
-4 certificate search exhausted (the exact decision is still printed).
+4 glue blocked (`section glue` found no equalizing exponent).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -28,10 +29,8 @@ from .explore import ExploreConfig, explore_question
 from .parsing import parse_poly, parse_ring
 from .polynomials import count_real_roots, factor, real_part
 from .rings import (
-    CertificateStatus,
     RealRadicalCertificate,
     Ring,
-    SearchBounds,
     SigmaDenominator,
     SumOfSquares,
     classify,
@@ -55,7 +54,6 @@ from .sheaves import (
 from .spectrum import (
     RealPrime,
     SubcoverCertificate,
-    SubcoverStatus,
     closed_intersect,
     closed_subset,
     closed_union,
@@ -69,29 +67,27 @@ from .spectrum import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
-EXIT_EXHAUSTED = 4
+EXIT_BLOCKED = 4
+
+#: Largest degree 2m * max(deg f, 1) of a power f^(2m) read from outside
+#: input (certificate documents, sigma-eq exponents); expanding it costs
+#: time and memory that grow with this degree.
+MAX_POWER_DEGREE = 128
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ring", default="Q[x]", help='ring, "Q[x]" or "Q[x]/(<poly>)"')
     p.add_argument("--json", action="store_true", help="emit one JSON document")
     p.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
-    p.add_argument("--m-max", type=_positive_int, default=6, dest="m_max")
-    p.add_argument("--sos-degree", type=int, default=None, dest="sos_degree")
-    p.add_argument("--coeff-bound", type=_positive_int, default=8, dest="coeff_bound")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _bounds(args) -> SearchBounds:
-    return SearchBounds(
-        m_max=args.m_max, sos_degree=args.sos_degree, coeff_bound=args.coeff_bound
-    )
+def _checked_power(base, m: int) -> int:
+    """m, after checking that base^(2m) stays within MAX_POWER_DEGREE."""
+    if 2 * m * max(base.rep.degree, 1) > MAX_POWER_DEGREE:
+        raise InputError(
+            f"exponent {m} makes ({base})^(2*{m}) exceed degree {MAX_POWER_DEGREE}"
+        )
+    return m
 
 
 def _ring(args) -> Ring:
@@ -174,9 +170,10 @@ def _verify_cert_doc(doc) -> bool:
     ring = parse_ring(_doc_value(doc, "ring", str))
     sos = SumOfSquares(_doc_elems(ring, doc, "sos"))
     if kind == "real-radical":
+        a = _doc_elem(ring, doc, "element")
         cert = RealRadicalCertificate(
-            a=_doc_elem(ring, doc, "element"),
-            m=_doc_value(doc, "m", int),
+            a=a,
+            m=_checked_power(a, _doc_value(doc, "m", int)),
             sos=sos,
             cofactor=_doc_elem(ring, doc, "cofactor"),
             ideal=ring.ideal(parse_poly(_doc_value(doc, "ideal", str))),
@@ -188,9 +185,9 @@ def _verify_cert_doc(doc) -> bool:
         coeffs = _doc_elems(ring, doc, "coeffs")
         if len(coeffs) != len(indices) or not all(0 <= i < len(covers) for i in indices):
             raise InputError("subcover certificate needs one coefficient per index into covers")
-        cert = SubcoverCertificate(
-            _doc_elem(ring, doc, "f"), covers, indices, coeffs, _doc_value(doc, "m", int), sos
-        )
+        f = _doc_elem(ring, doc, "f")
+        m = _checked_power(f, _doc_value(doc, "m", int))
+        cert = SubcoverCertificate(f, covers, indices, coeffs, m, sos)
         return verify_subcover_certificate(cert)
     if kind == "glue":
         f = _doc_elem(ring, doc, "f")
@@ -201,7 +198,7 @@ def _verify_cert_doc(doc) -> bool:
         coeffs = _doc_elems(ring, doc, "coeffs")
         if len(coeffs) != len(patches):
             raise InputError("glue certificate needs one coefficient per patch")
-        cert = GlueCertificate(coeffs, _doc_value(doc, "k", int), sos)
+        cert = GlueCertificate(coeffs, _checked_power(f, _doc_value(doc, "k", int)), sos)
         frac = SigmaFraction(_doc_elem(ring, doc, "numerator"), SigmaDenominator(f, cert.k, sos))
         return verify_glue(Section(ring, f, patches), frac, cert)
     raise InputError(f"unknown certificate kind {kind!r}")
@@ -286,42 +283,34 @@ def _cmd_subcover(args):
     ring = _ring(args)
     f = ring.elem(parse_poly(args.f))
     fs = [ring.elem(parse_poly(g)) for g in args.gens]
-    outcome = finite_subcover(f, fs, _bounds(args))
-    indices = list(outcome.indices)
-    if outcome.status is SubcoverStatus.FOUND:
-        payload = _subcover_cert_doc(ring, outcome.certificate)
-        lines = [f"indices {indices}"]
-        lines.append(
-            "certificate: coeffs=[%s] m=%d sos=[%s]"
-            % (
-                ", ".join(str(c) for c in outcome.certificate.coeffs),
-                outcome.certificate.m,
-                ", ".join(str(t) for t in outcome.certificate.sos.terms),
-            )
-        )
-        return EXIT_OK, payload, lines
-    payload = {"kind": "subcover", "indices": indices, "status": "no-certificate"}
-    return EXIT_EXHAUSTED, payload, [f"indices {indices}", "certificate search exhausted"]
+    outcome = finite_subcover(f, fs)
+    cert = outcome.certificate
+    lines = [
+        f"indices {list(outcome.indices)}",
+        "certificate: coeffs=[%s] m=%d sos=[%s]"
+        % (
+            ", ".join(str(c) for c in cert.coeffs),
+            cert.m,
+            ", ".join(str(t) for t in cert.sos.terms),
+        ),
+    ]
+    return EXIT_OK, _subcover_cert_doc(ring, cert), lines
 
 
 def _cmd_cert_find(args):
     ring = _ring(args)
     ideal = ring.ideal(parse_poly(args.ideal))
     a = ring.elem(parse_poly(args.element))
-    outcome = find_certificate(ideal, a, _bounds(args))
-    if outcome.status is CertificateStatus.FOUND:
-        cert = outcome.certificate
-        payload = _real_radical_cert_doc(ring, cert)
-        lines = [
-            "member: true",
-            "certificate: m=%d sos=[%s] cofactor=%s"
-            % (cert.m, ", ".join(str(t) for t in cert.sos.terms), cert.cofactor),
-        ]
-        return EXIT_OK, payload, lines
-    if outcome.status is CertificateStatus.MEMBER_NO_CERTIFICATE:
-        payload = {"kind": "real-radical", "member": True, "status": "no-certificate"}
-        return EXIT_EXHAUSTED, payload, ["member: true", "certificate search exhausted"]
-    return EXIT_OK, {"kind": "real-radical", "member": False}, ["member: false"]
+    outcome = find_certificate(ideal, a)
+    if not outcome.found:
+        return EXIT_OK, {"kind": "real-radical", "member": False}, ["member: false"]
+    cert = outcome.certificate
+    lines = [
+        "member: true",
+        "certificate: m=%d sos=[%s] cofactor=%s"
+        % (cert.m, ", ".join(str(t) for t in cert.sos.terms), cert.cofactor),
+    ]
+    return EXIT_OK, _real_radical_cert_doc(ring, cert), lines
 
 
 def _cmd_cert_verify(args):
@@ -362,7 +351,7 @@ def _cmd_section_validate(args):
 def _cmd_section_glue(args):
     ring = _ring(args)
     section = _section_from_args(args, ring)
-    outcome = glue(section, _bounds(args))
+    outcome = glue(section)
     if outcome.status is GlueStatus.GLUED:
         frac = outcome.fraction
         payload = _glue_cert_doc(ring, outcome.equalized, frac, outcome.certificate)
@@ -377,7 +366,7 @@ def _cmd_section_glue(args):
         ]
         return EXIT_OK, payload, lines
     payload = {"kind": "glue", "status": outcome.status.value}
-    return EXIT_EXHAUSTED, payload, [f"glue failed: {outcome.status.value}"]
+    return EXIT_BLOCKED, payload, [f"glue failed: {outcome.status.value}"]
 
 
 def _cmd_section_eq(args):
@@ -411,11 +400,11 @@ def _cmd_sigma_eq(args):
     f = ring.elem(parse_poly(args.f))
     u = SigmaFraction(
         ring.elem(parse_poly(args.num1)),
-        SigmaDenominator(f, args.m1, _parse_sos(ring, args.sos1)),
+        SigmaDenominator(f, _checked_power(f, args.m1), _parse_sos(ring, args.sos1)),
     )
     v = SigmaFraction(
         ring.elem(parse_poly(args.num2)),
-        SigmaDenominator(f, args.m2, _parse_sos(ring, args.sos2)),
+        SigmaDenominator(f, _checked_power(f, args.m2), _parse_sos(ring, args.sos2)),
     )
     result = sigma_eq(u, v)
     return EXIT_OK, {"equal": result}, [str(result).lower()]
@@ -428,7 +417,6 @@ def _cmd_explore(args):
         deg_min=args.deg_min,
         deg_max=args.deg_max,
         seed=args.seed,
-        bounds=_bounds(args),
     )
     report = explore_question(config)
     if args.json:
@@ -440,6 +428,7 @@ def _cmd_explore(args):
 # parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="realspec",

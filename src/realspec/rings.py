@@ -2,17 +2,22 @@
 
 Principal ideals in canonical form, annihilators, reality / semi-reality
 classification, and real radicals together with verifiable witness
-certificates a^(2m) + sum(b_i^2) = cofactor * gen.
+certificates a^(2m) + sum(b_i^2) = cofactor * gen. Such a certificate is
+the real Nullstellensatz witness of membership; `find_certificate` builds
+one for every member, with no search (see its docstring for the proof).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
+
+import mpmath
+from sympy.solvers.diophantine.diophantine import sum_of_four_squares
 
 from .errors import DomainError, RingMismatchError
 from .polynomials import (
@@ -355,7 +360,7 @@ class RealRadicalCertificate:
 
 
 def verify_certificate(cert: RealRadicalCertificate) -> bool:
-    """Re-expand the identity with ring arithmetic; no trust in the search path."""
+    """Re-expand the identity with ring arithmetic; no trust in the construction."""
     ring = cert.ideal.ring
     if cert.a.ring != ring or cert.cofactor.ring != ring:
         raise RingMismatchError("certificate parts belong to different rings")
@@ -366,7 +371,6 @@ def verify_certificate(cert: RealRadicalCertificate) -> bool:
 
 class CertificateStatus(Enum):
     FOUND = "found"
-    MEMBER_NO_CERTIFICATE = "member-no-certificate"
     NOT_MEMBER = "not-member"
 
 
@@ -380,40 +384,8 @@ class CertificateOutcome:
         return self.status is CertificateStatus.FOUND
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Effort limits for certificate searches.
-
-    sos_degree None means "degree of the ideal generator". The coefficient
-    grid runs over fractions p/q with 1 <= p, q <= coeff_bound.
-    """
-
-    m_max: int = 6
-    sos_degree: Optional[int] = None
-    coeff_bound: int = 8
-    pair_coeffs: int = 6
-
-    def __post_init__(self):
-        if self.m_max < 1 or self.coeff_bound < 1 or self.pair_coeffs < 1:
-            raise DomainError("search bounds must be positive")
-        if self.sos_degree is not None and self.sos_degree < 0:
-            raise DomainError("sos degree bound must be nonnegative")
-
-
-DEFAULT_BOUNDS = SearchBounds()
-
-
-def _coeff_grid(bound: int) -> list[Fraction]:
-    vals = {Fraction(p, q) for p in range(1, bound + 1) for q in range(1, bound + 1)}
-    # simplest fractions first, deterministic tie-break
-    return sorted(vals, key=lambda f: (max(f.numerator, f.denominator), f.denominator, f))
-
-
-def _sos_value_poly(terms: Sequence[Poly]) -> Poly:
-    acc = Poly.zero()
-    for t in terms:
-        acc = acc + t * t
-    return acc
+# A weighted sum of squares: pairs (w, h) standing for sum(w * h^2), w > 0.
+Weighted = list[tuple[Fraction, Poly]]
 
 
 def _multiplicity(p: Poly, q: Poly) -> int:
@@ -439,48 +411,194 @@ def _least_even_power(gen_factors, a_lift: Poly) -> Optional[int]:
     return m
 
 
-def _compose_components(a_lift: Poly, parts: Sequence[tuple[int, list[Poly]]]) -> tuple[int, list[Poly]]:
-    """Multiply witnesses (a^(2m_i) + S_i) into a single (m, sos term list)."""
+def _merge(terms, mod: Poly) -> Weighted:
+    """Reduce each h mod `mod`, make it monic (its leading coefficient
+    squared moves into the weight) and add up the weights of equal h."""
+    acc: dict[Poly, Fraction] = {}
+    for w, h in terms:
+        h = h % mod
+        if not h.is_zero():
+            key = h.monic()
+            acc[key] = acc.get(key, Fraction(0)) + w * h.leading * h.leading
+    return [(w, h) for h, w in acc.items()]
+
+
+def _compose_components(
+    a_lift: Poly, parts: Sequence[tuple[int, Weighted]], mod: Poly
+) -> tuple[int, Weighted]:
+    """Multiply witnesses (a^(2m_i) + S_i) into a single (m, S), reduced mod `mod`."""
     m_acc, sos_acc = parts[0]
     for m_i, sos_i in parts[1:]:
-        merged = []
         pow_acc = a_lift**m_acc
         pow_i = a_lift**m_i
-        merged.extend(pow_acc * t for t in sos_i)
-        merged.extend(pow_i * t for t in sos_acc)
-        merged.extend(t * s for t in sos_acc for s in sos_i)
-        m_acc, sos_acc = m_acc + m_i, merged
+        merged = [(w, pow_acc * t) for w, t in sos_i]
+        merged += [(w, pow_i * t) for w, t in sos_acc]
+        merged += [(w * v, t * s) for w, t in sos_acc for v, s in sos_i]
+        m_acc, sos_acc = m_acc + m_i, _merge(merged, mod)
     return m_acc, sos_acc
 
 
-def _neg_one_sos_mod(target: Poly, bounds: SearchBounds) -> Optional[list[Poly]]:
-    """Grid search for square terms with 1 + sum(t_i^2) divisible by target."""
-    one = Poly.one()
-    degree_cap = max(int(target.degree) - 1, 0)
-    grid = _coeff_grid(bounds.coeff_bound)
-    monos = [Poly.monomial(1, k) for k in range(degree_cap + 1)]
-    singles = [(t, (t * t) % target) for t in (m.scale(c) for m in monos for c in grid)]
-    for t, sq in singles:
-        if ((one + sq) % target).is_zero():
-            return [t]
-    trimmed = [
-        (t, (t * t) % target)
-        for t in (m.scale(c) for m in monos for c in grid[: bounds.pair_coeffs])
-    ]
-    for (t1, sq1), (t2, sq2) in itertools.combinations_with_replacement(trimmed, 2):
-        if ((one + sq1 + sq2) % target).is_zero():
-            return [t1, t2]
-    return None
+def _positive_definite(p: Poly) -> bool:
+    if p.is_zero() or p.leading <= 0:
+        return False
+    return p.is_constant() or (p.degree % 2 == 0 and count_real_roots(p) == 0)
 
 
-def find_certificate(
-    ideal: Ideal, a: RingElem, bounds: SearchBounds = DEFAULT_BOUNDS
-) -> CertificateOutcome:
-    """Decide membership exactly, then search for an explicit witness identity.
+def _weighted_sos(p: Poly) -> Weighted:
+    """p = sum(w * h^2) with every w > 0 and deg h <= deg(p) / 2, for p
+    positive definite.
 
-    Membership in the real radical is always settled (via the real part);
-    the identity search is best effort within the bounds. A Found outcome
-    has been verified by independent re-expansion before being returned.
+    Completes the square exactly, p = lc * s^2 + r with deg r < deg s, and
+    recurses on r while r stays positive definite; otherwise falls back to
+    the perturbed numerical route.
+    """
+    if p.is_constant():
+        return [(p.leading, Poly.one())]
+    d = p.degree // 2
+    q = p.scale(1 / p.leading)
+    s = [Fraction(0)] * d + [Fraction(1)]
+    for k in range(d - 1, -1, -1):
+        # coefficient d+k of s^2 is 2*s_k plus products of s_i, s_j with k < i, j < d
+        known = sum((s[i] * s[d + k - i] for i in range(k + 1, d)), Fraction(0))
+        s[k] = (q.coefficient(d + k) - known) / 2
+    s_poly = Poly(s)
+    r = p - (s_poly * s_poly).scale(p.leading)
+    head = [(p.leading, s_poly)]
+    if r.is_zero():
+        return head
+    if _positive_definite(r):
+        return head + _weighted_sos(r)
+    return _perturbed_sos(p)
+
+
+def _upper_root_product(p: Poly, prec: int) -> Optional[tuple[Poly, Poly]]:
+    """(s, t) with s + i*t the product of x - z over the roots z of p in the
+    upper half-plane, coefficients rounded to multiples of 2^-prec; None if
+    the roots at this precision do not split evenly across the real axis."""
+    with mpmath.workprec(prec + 20):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(p.coeffs)]
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=4 * prec)
+        except mpmath.NoConvergence:
+            return None
+        upper = [z for z in roots if mpmath.im(z) > 0]
+        if 2 * len(upper) != p.degree:
+            return None
+        prod = [mpmath.mpc(1)]
+        for z in upper:  # multiply by x - z
+            prod = [
+                (prod[k - 1] if k else 0) - (z * prod[k] if k < len(prod) else 0)
+                for k in range(len(prod) + 1)
+            ]
+
+        def rounded(values) -> Poly:
+            scaled = (int(mpmath.nint(mpmath.ldexp(v, prec))) for v in values)
+            return Poly(Fraction(n, 1 << prec) for n in scaled)
+
+        return rounded(c.real for c in prod), rounded(c.imag for c in prod)
+
+
+def _perturbed_sos(p: Poly) -> Weighted:
+    """univsos2 (Magron, Safey El Din and Schweighofer): p = sum(w * h^2)
+    for p positive definite of degree 2d.
+
+    Take eps with p_eps = p - eps * sum_{k<=d} x^(2k) still positive, round
+    an approximate factorization p_eps ~ lc * (s^2 + t^2) from its complex
+    roots to rationals, and absorb the exact remainder u into the eps
+    terms: odd terms through (x^(i+1) +- x^i)^2, and what is left on each
+    even power must stay nonnegative. Higher precision shrinks u while eps
+    stays fixed, so doubling it ends the loop.
+    """
+    d = p.degree // 2
+    evens = Poly([1 - k % 2 for k in range(2 * d + 1)])
+    eps = p.leading / 2
+    while count_real_roots(p - evens.scale(eps)) > 0:
+        eps /= 2
+    p_eps = p - evens.scale(eps)
+    lc = p_eps.leading
+    prec = 16
+    while True:
+        approx = _upper_root_product(p_eps, prec)
+        prec *= 2
+        if approx is None:
+            continue
+        s, t = approx
+        u = p_eps - (s * s + t * t).scale(lc)
+        odd = [u.coefficient(2 * i + 1) for i in range(d)]
+        half = [Fraction(0)] + [abs(c) / 2 for c in odd] + [Fraction(0)]
+        even = [eps + u.coefficient(2 * i) - half[i] - half[i + 1] for i in range(d + 1)]
+        if min(even) < 0:
+            continue
+        out = [(lc, s), (lc, t)]
+        out += [
+            (abs(c) / 2, Poly.monomial(1, i + 1) + Poly.monomial(1 if c > 0 else -1, i))
+            for i, c in enumerate(odd)
+        ]
+        out += [(c, Poly.monomial(1, i)) for i, c in enumerate(even)]
+        return [(w, h) for w, h in out if w and not h.is_zero()]
+
+
+def _neg_one_sos_mod(p: Poly) -> Weighted:
+    """S with 1 + S = 0 mod p, for p monic irreducible without real roots.
+
+    From p = sum(w_i * h_i^2): every h_i has degree below deg p, so a nonzero
+    h_j is a unit mod the irreducible p, and dividing by w_j * h_j^2 gives
+    -1 = sum_{i != j} (w_i / w_j) * (h_i / h_j)^2 mod p.
+    """
+    terms = _weighted_sos(p)
+    j = min(range(len(terms)), key=lambda i: terms[i][1].degree)  # a constant if any
+    w_j, h_j = terms.pop(j)
+    inverse = ext_gcd(h_j, p)[1]
+    return _merge(((w / w_j, h * inverse) for w, h in terms), p)
+
+
+def _unit_part(a_lift: Poly, p: Poly, e: int) -> Weighted:
+    """S with a^2 + S = 0 mod p^e, for p without real roots and not dividing a:
+    (1 + S_p)^e = 0 mod p^e, times a^2."""
+    target = p**e
+    one_plus = _merge([(Fraction(1), Poly.one())] + _neg_one_sos_mod(p), target)
+    power = one_plus
+    for _ in range(e - 1):
+        power = _merge(((w * v, t * s) for w, t in power for v, s in one_plus), target)
+    # the product of the 1s contributes exactly 1 to the weight of the monic h = 1
+    power = [(w - 1, t) if t.is_one() else (w, t) for w, t in power]
+    return _merge(((w, a_lift * t) for w, t in power if w), target)
+
+
+def _squares(terms: Weighted) -> list[Poly]:
+    """Plain squares: a square weight gives one term, any other weight n/d
+    the four terms of n*d = sum(q_k^2) (Lagrange), scaled by 1/d."""
+    out: list[Poly] = []
+    for w, h in terms:
+        n, d = w.numerator, w.denominator
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            out.append(h.scale(Fraction(rn, rd)))
+        else:
+            out.extend(h.scale(Fraction(q, d)) for q in sum_of_four_squares(n * d) if q)
+    return out
+
+
+def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
+    """Decide membership exactly and construct an explicit witness identity
+    a^(2m) + sum(s_i^2) = cofactor * gen for every member.
+
+    The witness is built per prime power p^e of gen, and the parts
+    a^(2m_i) + S_i, each 0 mod its p^e, are multiplied together:
+    - p divides a to order v: a^(2*ceil(e/2v)) is already 0 mod p^e.
+    - p does not divide a: membership says p has no real root, so the
+      monic irreducible p is positive on R and (Artin-Schreier; over Q,
+      Pourchet) p = sum(w_i * h_i^2) with rationals w_i > 0 and
+      deg h_i <= deg(p)/2. A nonzero h_j has degree below deg p, so it is
+      coprime to the irreducible p and invertible mod p; dividing by
+      w_j * h_j^2 gives 1 + S = 0 mod p with
+      S = sum_{i != j} (w_i/w_j) * (h_i/h_j)^2. Then (1 + S)^e = 0 mod p^e,
+      and a^2 * (1 + S)^e is the part, with m_i = 1.
+    The weighted sum of squares of p comes from completing the square
+    exactly, or else from univsos2 (`_perturbed_sos`). Weights become
+    plain squares once, at the end: a square weight as one term, any other
+    by Lagrange's four squares. A Found outcome has been verified by
+    independent re-expansion before being returned.
     """
     ring = ideal.ring
     a = ring.elem(a)
@@ -512,116 +630,25 @@ def find_certificate(
         )
         return _checked(cert)
 
-    # single-tail grid first (cheap, finds the simple classical identities),
-    # then the structured per-prime-power route, then two-tail grids
-    direct = _direct_grid_search(ideal, a, bounds, pairs=False)
-    if direct is not None:
-        return _checked(direct)
-
-    composed = _composed_search(ideal, a, bounds)
-    if composed is not None:
-        return _checked(composed)
-
-    direct = _direct_grid_search(ideal, a, bounds, pairs=True)
-    if direct is not None:
-        return _checked(direct)
-
-    return CertificateOutcome(CertificateStatus.MEMBER_NO_CERTIFICATE)
+    parts: list[tuple[int, Weighted]] = []
+    for p, e in gen_factors:
+        va = _multiplicity(a_lift, p)
+        if va > 0:
+            parts.append((-(-e // (2 * va)), []))
+        else:
+            parts.append((1, _unit_part(a_lift, p, e)))
+    m, weighted = _compose_components(a_lift, parts, gen)
+    v = a_lift ** (2 * m)
+    for w, h in weighted:
+        v = v + (h * h).scale(w)
+    sos = SumOfSquares(tuple(ring.elem(t) for t in _squares(weighted)))
+    return _checked(RealRadicalCertificate(a, m, sos, ring.elem(v // gen), ideal))
 
 
 def _checked(cert: RealRadicalCertificate) -> CertificateOutcome:
     if not verify_certificate(cert):
         raise AssertionError("internal error: constructed certificate failed to verify")
     return CertificateOutcome(CertificateStatus.FOUND, cert)
-
-
-def _pow_mod(p: Poly, n: int, mod: Poly) -> Poly:
-    result = Poly.one() % mod
-    base = p % mod
-    while n:
-        if n & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        n >>= 1
-    return result
-
-
-def _direct_grid_search(
-    ideal: Ideal, a: RingElem, bounds: SearchBounds, pairs: bool
-) -> Optional[RealRadicalCertificate]:
-    gen = ideal.gen
-    a_lift = a.rep
-    degree_cap = bounds.sos_degree
-    if degree_cap is None:
-        degree_cap = max(int(gen.degree), 0)
-    grid = _coeff_grid(bounds.coeff_bound)
-    monos = [Poly.monomial(1, k) for k in range(degree_cap + 1)]
-
-    def hit(m: int, terms: list[Poly]) -> RealRadicalCertificate:
-        v = a_lift ** (2 * m) + _sos_value_poly(terms)
-        return _build(ideal, a, m, terms, v)
-
-    if pairs:
-        pool = [mono.scale(c) for mono in monos for c in grid[: bounds.pair_coeffs]]
-        if len(pool) > 120:  # keep exhaustion deterministic and fast
-            return None
-        pool_sq = [(t, (t * t) % gen) for t in pool]
-        for m in range(1, bounds.m_max + 1):
-            base = _pow_mod(a_lift, 2 * m, gen)
-            for (t1, sq1), (t2, sq2) in itertools.combinations_with_replacement(pool_sq, 2):
-                if ((base + sq1 + sq2) % gen).is_zero():
-                    return hit(m, [t1, t2])
-        return None
-    candidates = [mono.scale(c) for mono in monos for c in grid]
-    cand_sq = [(t, (t * t) % gen) for t in candidates]
-    for m in range(1, bounds.m_max + 1):
-        base = _pow_mod(a_lift, 2 * m, gen)
-        if base.is_zero():
-            return hit(m, [])
-        for t, sq in cand_sq:
-            if ((base + sq) % gen).is_zero():
-                return hit(m, [t])
-    return None
-
-
-def _composed_search(
-    ideal: Ideal, a: RingElem, bounds: SearchBounds
-) -> Optional[RealRadicalCertificate]:
-    """Per prime-power witnesses composed multiplicatively.
-
-    For each p^e dividing gen: if p divides a, an even power of a is zero
-    mod p^e; otherwise p has no real root (membership rules that out for
-    real-rooted p) and a witness needs a sum of squares congruent to -1
-    mod p^e, found by grid search and then scaled by a power of a.
-    """
-    ring = ideal.ring
-    gen = ideal.gen
-    a_lift = a.rep
-    parts: list[tuple[int, list[Poly]]] = []
-    for p, e in factor(gen).factors:
-        target = p**e
-        va = _multiplicity(a_lift, p)
-        if va > 0:
-            parts.append((-(-e // (2 * va)), []))
-            continue
-        sos = _neg_one_sos_mod(target, bounds)
-        if sos is None:
-            return None
-        parts.append((1, [a_lift * t for t in sos]))
-    m, sos_terms = _compose_components(a_lift, parts)
-    v = a_lift ** (2 * m) + _sos_value_poly(sos_terms)
-    if not gen.divides(v):
-        return None
-    return _build(ideal, a, m, sos_terms, v)
-
-
-def _build(
-    ideal: Ideal, a: RingElem, m: int, sos_terms: Sequence[Poly], v: Poly
-) -> RealRadicalCertificate:
-    ring = ideal.ring
-    sos = SumOfSquares(tuple(ring.elem(t) for t in sos_terms))
-    cofactor = ring.elem(v // ideal.gen)
-    return RealRadicalCertificate(a, m, sos, cofactor, ideal)
 
 
 def express_gen_as_multiple(ideal: Ideal, original: RingElem) -> RingElem:

@@ -25,11 +25,8 @@ from .errors import (
 )
 from .polynomials import bezout_many
 from .rings import (
-    CertificateStatus,
     Ring,
     RingElem,
-    SearchBounds,
-    DEFAULT_BOUNDS,
     SigmaDenominator,
     SumOfSquares,
     annihilator,
@@ -194,27 +191,23 @@ def section_validate(s: Section) -> ValidationReport:
 
 class NormalizeStatus(Enum):
     FOUND = "found"
-    CERTIFICATE_EXHAUSTED = "certificate-exhausted"
 
 
 @dataclass(frozen=True)
 class NormalizeOutcome:
     status: NormalizeStatus
-    section: Optional[Section] = None
-    failed_index: Optional[int] = None
+    section: Section
 
 
 def normalize_basic(
     f: RingElem,
     raw: Sequence[tuple[RingElem, RingElem, RingElem]],
-    bounds: SearchBounds = DEFAULT_BOUNDS,
 ) -> NormalizeOutcome:
     """Rewrite local data (h_i, b_i, f_i) with b_i/f_i on D(h_i) into patches
     whose denominator cuts out the patch itself.
 
     Requires D(h_i) within D(f_i) for each i and the h_i to cover D(f).
-    Each rewrite needs a witness h_i^(2n) + sos = u_i * f_i; the search for
-    it can exhaust the bounds.
+    Each rewrite uses a witness h_i^(2n) + sos = u_i * f_i.
     """
     ring = f.ring
     for h, _b, fi in raw:
@@ -225,12 +218,9 @@ def normalize_basic(
         raise NotLocallyFractionalError("the h_i do not cover D(f)")
 
     patches: list[LocalFraction] = []
-    for idx, (h, b, fi) in enumerate(raw):
+    for h, b, fi in raw:
         di = ring.ideal(fi)
-        outcome = find_certificate(di, h, bounds)
-        if outcome.status is not CertificateStatus.FOUND:
-            return NormalizeOutcome(NormalizeStatus.CERTIFICATE_EXHAUSTED, None, idx)
-        cert = outcome.certificate
+        cert = find_certificate(di, h).certificate
         # h^(2n) + sos = cofactor * gen and gen = s * f_i, so u = cofactor * s
         u = cert.cofactor * express_gen_as_multiple(di, fi)
         h2 = h * h
@@ -298,7 +288,6 @@ def equalize(s: Section) -> Section:
 
 class GlueStatus(Enum):
     GLUED = "glued"
-    CERTIFICATE_EXHAUSTED = "certificate-exhausted"
     BLOCKED = "blocked"
 
 
@@ -314,12 +303,12 @@ class GlueOutcome:
         return self.status is GlueStatus.GLUED
 
 
-def glue(s: Section, bounds: SearchBounds = DEFAULT_BOUNDS) -> GlueOutcome:
+def glue(s: Section) -> GlueOutcome:
     """Assemble a section into a single fraction of the localization.
 
     Always succeeds over real rings; over semi-real rings it runs in an
     experimental capacity and reports distinctly when the equalizing step is
-    provably blocked or when the certificate search exhausts its bounds.
+    provably blocked.
     """
     ring = s.ring
     report = section_validate(s)
@@ -341,10 +330,7 @@ def glue(s: Section, bounds: SearchBounds = DEFAULT_BOUNDS) -> GlueOutcome:
 
     gs = eq.denominators()
     sum_ideal = ideal_sum(ring, gs)
-    outcome = find_certificate(sum_ideal, s.f, bounds)
-    if outcome.status is not CertificateStatus.FOUND:
-        return GlueOutcome(GlueStatus.CERTIFICATE_EXHAUSTED, equalized=eq)
-    cert = outcome.certificate
+    cert = find_certificate(sum_ideal, s.f).certificate
 
     lifts = [g.rep for g in gs]
     if ring.is_quotient:

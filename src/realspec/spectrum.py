@@ -14,12 +14,9 @@ from typing import Optional, Sequence
 from .errors import DomainError, NotACoverError, RingMismatchError
 from .polynomials import Poly, bezout_many, factor, has_real_root, is_irreducible, real_part
 from .rings import (
-    CertificateStatus,
     Ideal,
     Ring,
     RingElem,
-    SearchBounds,
-    DEFAULT_BOUNDS,
     SumOfSquares,
     find_certificate,
     ideal_sum,
@@ -221,26 +218,22 @@ def verify_subcover_certificate(cert: SubcoverCertificate) -> bool:
 
 class SubcoverStatus(Enum):
     FOUND = "found"
-    NO_CERTIFICATE = "no-certificate"
 
 
 @dataclass(frozen=True)
 class SubcoverOutcome:
     indices: tuple[int, ...]
     status: SubcoverStatus
-    certificate: Optional[SubcoverCertificate] = None
+    certificate: SubcoverCertificate
 
 
-def finite_subcover(
-    f: RingElem, fs: Sequence[RingElem], bounds: SearchBounds = DEFAULT_BOUNDS
-) -> SubcoverOutcome:
+def finite_subcover(f: RingElem, fs: Sequence[RingElem]) -> SubcoverOutcome:
     """Finite subcover of D(f) with the same gcd real part as the whole family.
 
     Greedy: grow left to right until the subset's gcd real part matches the
     full family's, then prune indices whose removal keeps it unchanged. The
     combination certificate comes from Bezout coefficients scaled by a real
-    radical certificate for f; its search may exhaust the bounds, in which
-    case the subcover itself is still exact.
+    radical certificate for f.
     """
     ring = f.ring
     if not cover_check(f, fs):
@@ -265,11 +258,7 @@ def finite_subcover(
 
     subset = [fs[j] for j in kept]
     sub_ideal = ideal_sum(ring, subset)
-    outcome = find_certificate(sub_ideal, f, bounds)
-    if outcome.status is not CertificateStatus.FOUND:
-        return SubcoverOutcome(tuple(kept), SubcoverStatus.NO_CERTIFICATE)
-
-    cert = outcome.certificate
+    cert = find_certificate(sub_ideal, f).certificate
     lifts = [g.rep for g in subset]
     if ring.is_quotient:
         lifts = lifts + [ring.modulus]

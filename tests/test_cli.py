@@ -1,9 +1,18 @@
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from realspec.cli import main
+import realspec
+from realspec.cli import MAX_POWER_DEGREE, build_parser, main
+from realspec.parsing import parse_poly, parse_ring
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -79,6 +88,44 @@ class TestExitCodes:
     def test_bad_ring_flag(self, capsys):
         code, _, err = run(capsys, "classify", "--ring", "Q[x]/(2*x)")
         assert code == 3
+
+    def test_removed_search_flags(self, capsys):
+        # the certificate search and its bounds are gone, and so are their flags
+        for flag in ("--m-max=3", "--sos-degree=2", "--coeff-bound=4"):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "cert", "find", flag, "x^2+1", "1")
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    RUNS = (["cert", "find", "--no-such-flag", "x^2+1", "1"], ["cert", "find", "x^2+1", "1"])
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_command_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        in_process = []
+        for argv in self.RUNS:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            in_process.append((code, out.out, out.err))
+        src = str(Path(realspec.__file__).resolve().parents[1])
+        env = {**os.environ, "COLUMNS": "80"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = []
+        for argv in self.RUNS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "realspec.cli", *argv],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [2, 0]
 
 
 class TestSections:
@@ -196,6 +243,17 @@ class TestCertificates:
         code, out, _ = run(capsys, "cert", "verify", str(path))
         assert (code, out.strip()) == (0, "verified: true")
 
+    @pytest.mark.parametrize(
+        "ideal, element",
+        [("x^4+x^2+7", "x"), ("(x^2+3)^2*(x-1)", "x-1"), ("x^6+x+9", "x+5")],
+    )
+    def test_known_hard_members(self, capsys, monkeypatch, ideal, element):
+        # a non-square weight, a repeated non-real factor, the perturbed route
+        code, out, _ = run(capsys, "cert", "find", "--json", "--", ideal, element)
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert run(capsys, "cert", "verify")[:2] == (0, "verified: true\n")
+
     def test_tampered_certificate_fails(self, capsys, tmp_path):
         code, out, _ = run(capsys, "cert", "find", "--json", "x^2+1", "1")
         doc = json.loads(out)
@@ -263,6 +321,76 @@ class TestMalformedCertificates:
 
     def test_missing_file(self, capsys, tmp_path):
         assert _usage_error(*run(capsys, "cert", "verify", str(tmp_path / "none.json")))
+
+
+def _power_degree(doc: dict) -> int:
+    """2m * max(deg base, 1) of the power a document asks cert verify to expand."""
+    ring = parse_ring(doc["ring"])
+    base = ring.elem(parse_poly(doc["element"] if doc["kind"] == "real-radical" else doc["f"]))
+    return 2 * doc["k" if doc["kind"] == "glue" else "m"] * max(base.rep.degree, 1)
+
+
+class TestExponentBudget:
+    def _verify(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "cert", "verify", str(path))
+
+    @pytest.mark.parametrize(
+        "kind, key", [("real-radical", "m"), ("subcover", "m"), ("glue", "k")]
+    )
+    def test_document_exponent(self, capsys, tmp_path, kind, key):
+        code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
+        doc = json.loads(out)
+        base = "element" if kind == "real-radical" else "f"
+        doc[base], doc[key] = "x^2", 1  # degree 2, or 1 once reduced in Q[x]/(x^2-x)
+        doc[key] = MAX_POWER_DEGREE // _power_degree(doc)
+        assert _power_degree(doc) == MAX_POWER_DEGREE
+        code, out, _ = self._verify(capsys, tmp_path, doc)
+        assert code == 0 and out.startswith("verified: ")
+        doc[key] += 1
+        assert _usage_error(*self._verify(capsys, tmp_path, doc))
+        doc[base], doc[key] = "3", MAX_POWER_DEGREE // 2 + 1  # a constant counts as degree 1
+        assert _usage_error(*self._verify(capsys, tmp_path, doc))
+
+    def test_former_runaway_document(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "cert", "find", "--json", "x^2+1", "x+1")
+        doc = json.loads(out)
+        doc["m"] = 100000
+        assert _usage_error(*self._verify(capsys, tmp_path, doc))
+
+    @pytest.mark.parametrize("flag", ["--m1", "--m2"])
+    def test_sigma_eq_exponent(self, capsys, flag):
+        m = MAX_POWER_DEGREE // 4  # (x^2+1)^(2m) has degree MAX_POWER_DEGREE
+        argv = ["sigma-eq", "--f", "x^2+1", "--num1", "x", "--num2", "x", "--m1", str(m)]
+        code, out, _ = run(capsys, *argv, "--m2", str(m))
+        assert (code, out) == (0, "true\n")
+        assert _usage_error(*run(capsys, *argv, "--m2", str(m), flag, str(m + 1)))
+
+    def test_certify_corpus_within_budget(self, capsys, monkeypatch):
+        """Every document of the benchmark's certify corpus stays under the
+        budget and verifies; exit 4 comes only from a blocked glue."""
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        documents = 0
+        for seed in (0, 1):
+            batches = workloads.certify_batches(seed)
+            for _ in range(3):  # the known hard members take turns, one per batch
+                for item in next(batches):
+                    code, out, _ = run(capsys, *item["argv"])
+                    doc = json.loads(out)
+                    if code == 4:
+                        assert doc == {"kind": "glue", "status": "blocked"}
+                        continue
+                    assert code == 0
+                    if doc.get("member") is False:
+                        continue
+                    documents += 1
+                    assert _power_degree(doc) <= MAX_POWER_DEGREE
+                    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+                    assert run(capsys, "cert", "verify")[:2] == (0, "verified: true\n")
+        assert documents > 60
 
 
 class TestExplore:

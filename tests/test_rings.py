@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from realspec import (
     CertificateStatus,
@@ -11,7 +12,6 @@ from realspec import (
     Ring,
     RingKind,
     RingMismatchError,
-    SearchBounds,
     SigmaDenominator,
     SumOfSquares,
     annihilator,
@@ -24,12 +24,37 @@ from realspec import (
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
-from realspec.polynomials import lcm, real_part
+from realspec.polynomials import is_irreducible, lcm, real_part
 
 from helpers import random_dense_product, random_elem, random_real_quotient, random_structured_poly
 
 
 BASE = Ring.rationals()
+
+# members whose witness needs a non-square weight, a repeated non-real factor,
+# and the perturbed numerical route, in that order
+KNOWN_HARD_MEMBERS = [("x^4+x^2+7", "x"), ("(x^2+3)^2*(x-1)", "x-1"), ("x^6+x+9", "x+5")]
+
+
+@st.composite
+def nonreal_power_times_linears(draw):
+    """(ring, gen, a): gen = p^e times real-rooted linear factors, with p monic
+    irreducible of degree 2..8 and no real root (s^2 + t^2 + c, c > 0), e <= 3,
+    and a a member: a multiple of every linear factor of gen."""
+    d = draw(st.integers(1, 4))
+    s = Poly(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) + [1])
+    t = Poly(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+    p = s * s + t * t + Poly.const(draw(st.integers(1, 5)))
+    assume(is_irreducible(p))
+    gen = p ** draw(st.integers(1, 3))
+    a = Poly([draw(st.integers(1, 3))] + draw(st.lists(st.integers(-3, 3), max_size=2)))
+    for r in draw(st.lists(st.integers(-3, 3), max_size=2, unique=True)):
+        gen = gen * Poly([-r, 1]) ** draw(st.integers(1, 2))
+        a = a * Poly([-r, 1])
+    if draw(st.booleans()):
+        a = a * p
+    ring = Ring.quotient(gen * Poly([7, 1])) if draw(st.booleans()) else BASE
+    return ring, gen, a
 
 
 def quot(text):
@@ -243,7 +268,6 @@ class TestCertificates:
 
     def test_found_certificates_verify_randomized(self):
         rng = random.Random(41)
-        found = 0
         for _ in range(120):
             ring = (
                 BASE
@@ -253,18 +277,36 @@ class TestCertificates:
             ideal = ring.ideal(random_structured_poly(rng, 3, 8))
             a = ring.elem(real_radical(ideal).gen * random_structured_poly(rng, 1, 3))
             out = find_certificate(ideal, a)
-            if out.found:
-                found += 1
-                assert verify_certificate(out.certificate)
-        assert found > 60
+            assert out.found
+            assert verify_certificate(out.certificate)
 
-    def test_bounds_validation(self):
-        with pytest.raises(DomainError):
-            SearchBounds(m_max=0)
-        with pytest.raises(DomainError):
-            SearchBounds(coeff_bound=0)
-        with pytest.raises(DomainError):
-            SearchBounds(sos_degree=-1)
+    @pytest.mark.parametrize("gen, a", KNOWN_HARD_MEMBERS)
+    def test_known_hard_members(self, gen, a):
+        out = find_certificate(BASE.ideal(P(gen)), BASE.elem(P(a)))
+        assert out.found
+        assert verify_certificate(out.certificate)
+
+    def test_exact_square_completion(self):
+        # x^4 + x^2 + 7 = (x^2 + 1/2)^2 + 27/4 gives -1 = (4/27)(x^2 + 1/2)^2 mod it
+        out = find_certificate(BASE.ideal(P("x^4+x^2+7")), BASE.one())
+        c = out.certificate
+        assert c.m == 1
+        assert sum((t.rep * t.rep for t in c.sos.terms), Poly.zero()) == P("4/27*(x^2+1/2)^2")
+
+    def test_perturbed_route_doubles_precision(self):
+        # x^4+20x^3+121x^2+218x+182 = (x^2+10x+21/2)^2 + 8x + 287/4 leaves an odd
+        # remainder, and rounding its roots to 2^-16 leaves a negative even weight
+        out = find_certificate(BASE.ideal(P("x^4+20*x^3+121*x^2+218*x+182")), BASE.elem(P("x")))
+        assert out.found
+        assert verify_certificate(out.certificate)
+
+    @given(nonreal_power_times_linears())
+    @settings(max_examples=25, deadline=None)
+    def test_every_member_certified(self, case):
+        ring, gen, a = case
+        out = find_certificate(ring.ideal(gen), ring.elem(a))
+        assert out.found
+        assert verify_certificate(out.certificate)
 
 
 class TestSigmaDenominator:

@@ -227,5 +227,5 @@ class TestCover:
             out = finite_subcover(f, fs)
             # the subcover always covers
             assert cover_check(f, [fs[i] for i in out.indices])
-            if out.status is SubcoverStatus.FOUND:
-                assert verify_subcover_certificate(out.certificate)
+            assert out.status is SubcoverStatus.FOUND
+            assert verify_subcover_certificate(out.certificate)
