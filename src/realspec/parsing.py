@@ -131,6 +131,8 @@ class _Parser:
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
+            if max(base.degree, 0) * exponent > MAX_EXPONENT:  # checked before expanding
+                raise ParseError(f"power has degree above {MAX_EXPONENT}", exp_tok.column)
             return base**exponent
         return base
 

@@ -1,16 +1,23 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are immutable dense coefficient tuples of ``fractions.Fraction``
-(index = degree, no trailing zeros; the zero polynomial is the empty tuple).
+A ``Poly`` is a rational content ``_c`` times a primitive integer tuple
+``_p`` (index = degree, entries of gcd 1, last entry positive); the zero
+polynomial is ``(0, ())``. The form is unique, so equality and hashing
+compare the pair, and coefficient arithmetic runs on Python ints. By
+Gauss's lemma a product of primitive polynomials is primitive, so ``*`` is
+an integer convolution times the product of the contents; ``+`` takes one
+integer gcd; division is integer long division that scales by the
+divisor's leading entry only when it does not divide the current leading
+term (a monic integer modulus never scales). ``coeffs`` builds
+``Fraction``s on demand, for printing and ordering.
+
 On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
 squarefree parts, complete factorization over Q, Sturm real-root counting,
 and the real part (the monic product of the real-rooted irreducible
-factors).
-
-``Poly`` keeps ``Fraction`` coefficients, but gcd, squarefree parts and
-Sturm counts run over integer coefficient lists (sympy's dense ``dup_*``
-routines over ZZ), which avoids the coefficient growth of Euclid over Q.
+factors). All but Bezout hand ``_p`` to sympy's dense ``dup_*`` routines
+over ZZ. Root counts and real parts are invariant under scaling, so their
+caches are keyed on ``_p``; factorizations on ``(content, _p)``.
 """
 
 from __future__ import annotations
@@ -22,11 +29,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-import sympy
 from sympy.polys.densearith import dup_prem
 from sympy.polys.densetools import dup_diff
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.sqfreetools import dup_sqf_part
 
 from .errors import DomainError
@@ -34,6 +41,9 @@ from .errors import DomainError
 #: Degree of the zero polynomial. A distinguished marker that still compares
 #: below every integer degree; never a -1 sentinel.
 NEG_INF = float("-inf")
+
+#: Entries each of the three number-theoretic caches keeps.
+CACHE_SIZE = 1 << 12
 
 Coeff = Union[Fraction, int]
 
@@ -47,15 +57,16 @@ def _as_fraction(value: Coeff) -> Fraction:
 
 
 class Poly:
-    """Dense polynomial in one variable x with exact rational coefficients."""
+    """Polynomial in x over Q: content ``_c`` times primitive ints ``_p``."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_c", "_p")
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        q = _canonical([c.numerator * (den // c.denominator) for c in cs], 1, den)
+        _set_c(self, q._c)
+        _set_p(self, q._p)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
@@ -76,83 +87,96 @@ class Poly:
 
     @staticmethod
     def const(value: Coeff) -> "Poly":
-        return Poly([_as_fraction(value)])
+        return Poly.monomial(value, 0)
 
     @staticmethod
     def monomial(coeff: Coeff, power: int) -> "Poly":
         if power < 0:
             raise DomainError("monomial power must be nonnegative")
-        return Poly([0] * power + [coeff])
+        c = _as_fraction(coeff)
+        return _make(c, (0,) * power + (1,)) if c else _ZERO
 
     # -- basic queries ------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        c = self._c
+        return tuple(Fraction(c.numerator * x, c.denominator) for x in self._p)
 
     @property
     def degree(self) -> Union[int, float]:
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._p) - 1 if self._p else NEG_INF
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._p:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return self._c * self._p[-1]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._p
 
     def is_one(self) -> bool:
-        return self._coeffs == (Fraction(1),)
+        return self._p == (1,) and self._c == 1
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._p) <= 1
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._p):
+            return self._c * self._p[power]
         return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        a, b = self._p, other._p
+        if not b:
+            return self
+        if not a:
+            return other
+        ca, cb = self._c, other._c
+        da, db = ca.denominator, cb.denominator
+        g = math.gcd(da, db)
+        fa, fb = ca.numerator * (db // g), cb.numerator * (da // g)
+        out = [fa * x for x in a]
+        if len(b) > len(a):
+            out.extend([0] * (len(b) - len(a)))
+        for i, y in enumerate(b):
+            out[i] += fb * y
+        return _canonical(out, 1, da // g * db)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
+        return _make(-self._c, self._p)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self._coeffs, other._coeffs
+        a, b = self._p, other._p
         if not a or not b:
             return _ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            return _make(self._c * other._c, a)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(b):
+            if x:
+                for j, y in enumerate(a, i):
+                    out[j] += x * y
+        return _make(self._c * other._c, tuple(out))  # primitive by Gauss's lemma
 
     def scale(self, value: Coeff) -> "Poly":
         v = _as_fraction(value)
-        return Poly([c * v for c in self._coeffs])
+        return _make(self._c * v, self._p) if v and self._p else _ZERO
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
-        nonzero = [(i, c) for i, c in enumerate(self._coeffs) if c]
-        if len(nonzero) == 1:  # monomials power by shifting, not by squaring
-            i, c = nonzero[0]
-            return Poly.monomial(c**n, i * n)
+        p = self._p
+        if p and p.count(0) == len(p) - 1:  # monomials power by shifting, not by squaring
+            return Poly.monomial(self._c**n, (len(p) - 1) * n)
         result = _ONE
         base = self
         while n:
@@ -163,25 +187,34 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        div = other._p
+        if not div:
             raise DomainError("division by the zero polynomial")
-        if self.is_zero():
-            return _ZERO, _ZERO
-        rem = list(self._coeffs)
-        div = other._coeffs
         dn = len(div) - 1
-        lead = div[-1]
-        if len(rem) - 1 < dn:
+        if len(self._p) - 1 < dn:
             return _ZERO, self
-        quot = [Fraction(0)] * (len(rem) - dn)
+        rem = list(self._p)
+        quot = [0] * (len(rem) - dn)
+        low, lead = div[:-1], div[-1]
+        scale = 1  # scale * self._p == quot * div + rem[:dn] once the loop ends
         for k in range(len(rem) - 1, dn - 1, -1):
             c = rem[k]
             if c:
-                q = c / lead
+                if c % lead:
+                    f = lead // math.gcd(c, lead)
+                    rem = [r * f for r in rem]
+                    quot = [q * f for q in quot]
+                    scale *= f
+                    c = rem[k]
+                q = c // lead
                 quot[k - dn] = q
-                for j in range(dn + 1):
-                    rem[k - dn + j] -= q * div[j]
-        return Poly(quot), Poly(rem)
+                for j, d in enumerate(low, k - dn):
+                    rem[j] -= q * d
+        ca, cb = self._c, other._c
+        return (
+            _canonical(quot, ca.numerator * cb.denominator, ca.denominator * cb.numerator * scale),
+            _canonical(rem[:dn], ca.numerator, ca.denominator * scale),
+        )
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -196,20 +229,18 @@ class Poly:
         return (other % self).is_zero()
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self._coeffs)][1:])
+        c = self._c
+        return _canonical([i * x for i, x in enumerate(self._p)][1:], c.numerator, c.denominator)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise DomainError("cannot normalize the zero polynomial")
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly([c / lead for c in self._coeffs])
+        return _make(Fraction(1, self._p[-1]), self._p)
 
     def evaluate(self, point: Coeff) -> Fraction:
         p = _as_fraction(point)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * p + c
         return acc
 
@@ -217,7 +248,7 @@ class Poly:
         """Return p(a*x + b), exactly."""
         arg = Poly([_as_fraction(b), _as_fraction(a)])
         acc = _ZERO
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * arg + Poly.const(c)
         return acc
 
@@ -226,23 +257,24 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._p == other._p and self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._c, self._p))
 
     def sort_key(self) -> tuple:
         """Canonical order: degree, then coefficients leading to constant."""
-        return (len(self._coeffs), tuple(reversed(self._coeffs)))
+        return (len(self._p), tuple(reversed(self.coeffs)))
 
     # -- printing -----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._p:
             return "0"
         parts: list[str] = []
-        for power in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[power]
+        coeffs = self.coeffs
+        for power in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[power]
             if c == 0:
                 continue
             body = _term_str(abs(c), power)
@@ -256,6 +288,32 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
+_set_c = Poly._c.__set__  # slot setters, past the immutability guard
+_set_p = Poly._p.__set__
+
+
+def _make(content: Fraction, prim: tuple[int, ...]) -> Poly:
+    """The Poly content * prim, from a pair already in canonical form."""
+    out = object.__new__(Poly)
+    _set_c(out, content)
+    _set_p(out, prim)
+    return out
+
+
+def _canonical(ints: list[int], num: int, den: int) -> Poly:
+    """The Poly (num/den) * ints, brought to canonical form (ints is consumed)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return _ZERO
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [x // g for x in ints]
+    return _make(Fraction(num * g, den), tuple(ints))
+
+
 def _term_str(c: Fraction, power: int) -> str:
     if power == 0:
         return str(c)
@@ -265,31 +323,22 @@ def _term_str(c: Fraction, power: int) -> str:
     return f"{c}*{xpart}"
 
 
-_ZERO = Poly()
-_ONE = Poly([1])
-_X = Poly([0, 1])
+_ZERO = _make(Fraction(0), ())
+_ONE = _make(Fraction(1), (1,))
+_X = _make(Fraction(1), (0, 1))
 
 
 # ---------------------------------------------------------------------------
 # gcd / Bezout
 
 
-def _to_zz(coeffs: tuple[Fraction, ...]) -> list[int]:
-    """Multiple by the lcm of the denominators, as sympy's dense list over ZZ."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
-
-
-def _monic_from_zz(dense: list[int]) -> Poly:
-    lead = dense[0]
-    return Poly([Fraction(c, lead) for c in reversed(dense)])
-
-
 def gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor; gcd(p, 0) = monic(p)."""
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
-    return _monic_from_zz(dup_gcd(_to_zz(p.coeffs), _to_zz(q.coeffs), ZZ))
+    if len(p._p) == 1 or len(q._p) == 1:  # one is a nonzero constant
+        return _ONE
+    return _canonical(dup_gcd(list(reversed(p._p)), list(reversed(q._p)), ZZ)[::-1], 1, 1).monic()
 
 
 def lcm(p: Poly, q: Poly) -> Poly:
@@ -343,7 +392,7 @@ def squarefree_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p."""
     if p.is_zero():
         raise DomainError("squarefree part of 0 is undefined")
-    return _monic_from_zz(dup_sqf_part(_to_zz(p.coeffs), ZZ))
+    return _canonical(dup_sqf_part(list(reversed(p._p)), ZZ)[::-1], 1, 1).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -372,32 +421,16 @@ def factor(p: Poly) -> Factorization:
     """Complete factorization of a nonzero polynomial into monic irreducibles."""
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    return _factor_cached(p.coeffs)
+    return _factor_cached(p._c, p._p)
 
 
-@lru_cache(maxsize=None)
-def _factor_cached(coeffs: tuple[Fraction, ...]) -> Factorization:
-    if len(coeffs) == 1:
-        return Factorization(coeffs[0], ())
-    sym = sympy.Poly(list(reversed(coeffs)), _SYMPY_X, domain="QQ")
-    content, raw = sympy.factor_list(sym)
-    unit = Fraction(content.p, content.q)
-    pairs: list[tuple[Poly, int]] = []
-    for fac, mult in raw:
-        fp = Poly([Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())])
-        if fp.is_constant():
-            unit *= fp.coeffs[0] ** mult
-            continue
-        lead = fp.leading
-        if lead != 1:
-            unit *= lead**mult
-            fp = fp.monic()
-        pairs.append((fp, int(mult)))
+@lru_cache(maxsize=CACHE_SIZE)
+def _factor_cached(content: Fraction, prim: tuple[int, ...]) -> Factorization:
+    # The factors are monic, so the unit is the leading coefficient.
+    _, raw = dup_factor_list(list(reversed(prim)), ZZ)
+    pairs = [(_canonical(f[::-1], 1, 1).monic(), mult) for f, mult in raw]
     pairs.sort(key=lambda pm: pm[0].sort_key())
-    return Factorization(unit, tuple(pairs))
-
-
-_SYMPY_X = sympy.Symbol("x")
+    return Factorization(content * prim[-1], tuple(pairs))
 
 
 def is_irreducible(p: Poly) -> bool:
@@ -415,15 +448,15 @@ def count_real_roots(p: Poly) -> int:
     """Number of distinct real roots, by Sturm's theorem on the squarefree part."""
     if p.is_zero():
         raise DomainError("root count of the zero polynomial is undefined")
-    return _count_real_roots_cached(p.coeffs)
+    return _count_real_roots_cached(p._p)
 
 
-@lru_cache(maxsize=None)
-def _count_real_roots_cached(coeffs: tuple[Fraction, ...]) -> int:
+@lru_cache(maxsize=CACHE_SIZE)
+def _count_real_roots_cached(prim: tuple[int, ...]) -> int:
     # Primitive Sturm sequence over ZZ: each pseudo-remainder lc(g)^(d+1) * r
     # is scaled back to a positive multiple of the true remainder r, then
     # negated and divided by its content.
-    seq = [dup_sqf_part(_to_zz(coeffs), ZZ)]
+    seq = [dup_sqf_part(list(reversed(prim)), ZZ)]
     if len(seq[0]) <= 1:
         return 0
     seq.append(dup_diff(seq[0], 1, ZZ))
@@ -456,13 +489,13 @@ def real_part(p: Poly) -> Poly:
     """
     if p.is_zero():
         raise DomainError("real part of the zero polynomial is undefined")
-    return _real_part_cached(p.coeffs)
+    return _real_part_cached(p._p)
 
 
-@lru_cache(maxsize=None)
-def _real_part_cached(coeffs: tuple[Fraction, ...]) -> Poly:
+@lru_cache(maxsize=CACHE_SIZE)
+def _real_part_cached(prim: tuple[int, ...]) -> Poly:
     out = Poly.one()
-    for q, _mult in _factor_cached(coeffs).factors:
+    for q, _mult in _factor_cached(Fraction(1, prim[-1]), prim).factors:
         if has_real_root(q):
             out = out * q
     return out

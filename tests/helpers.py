@@ -4,6 +4,8 @@ The root-counting oracle is deliberately a different algorithm from the
 library's Sturm chains: bisection with Descartes' rule of signs deciding
 when an interval isolates a single root. It takes squarefree parts with its
 own Euclid over the rationals, not with the library's integer gcd.
+`frac_mul` and `frac_divmod` are the Fraction-coefficient multiplication and
+long division that the integer kernel of `Poly` is checked against.
 """
 
 from __future__ import annotations
@@ -29,6 +31,39 @@ def euclid_squarefree_part(p: Poly) -> Poly:
     if p.is_constant():
         return Poly.one()
     return (p // euclid_gcd(p, p.derivative())).monic()
+
+
+def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def frac_mul(p: Poly, q: Poly) -> tuple[Fraction, ...]:
+    """Coefficients of p*q, by schoolbook convolution over Fractions."""
+    a, b = p.coeffs, q.coeffs
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _strip(out)
+
+
+def frac_divmod(p: Poly, q: Poly) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Coefficients of quotient and remainder, by long division over Fractions."""
+    rem, div = list(p.coeffs), q.coeffs
+    dn = len(div) - 1
+    if len(rem) - 1 < dn:
+        return (), _strip(rem)
+    quot = [Fraction(0)] * (len(rem) - dn)
+    for k in range(len(rem) - 1, dn - 1, -1):
+        q_k = rem[k] / div[-1]
+        quot[k - dn] = q_k
+        for j in range(dn + 1):
+            rem[k - dn + j] -= q_k * div[j]
+    return _strip(quot), _strip(rem)
 
 
 _X = sympy.Symbol("x")

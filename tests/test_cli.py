@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import realspec
-from realspec.cli import MAX_POWER_DEGREE, build_parser, main
+from realspec.cli import MAX_POWER_BITS, MAX_POWER_DEGREE, build_parser, main
 from realspec.parsing import parse_poly, parse_ring
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +66,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "sturm", "x^^2")
         assert code == 2
         assert "column 3" in err
+
+    def test_nested_power_degree(self, capsys):
+        code, out, err = run(capsys, "sturm", "((x)^65536)^65536")
+        assert (code, out) == (2, "")
+        assert "column 13" in err
 
     def test_precondition_violation(self, capsys):
         code, _, err = run(capsys, "subcover", "--f", "x^2-1", "x+2")
@@ -353,6 +358,40 @@ class TestExponentBudget:
         doc[base], doc[key] = "3", MAX_POWER_DEGREE // 2 + 1  # a constant counts as degree 1
         assert _usage_error(*self._verify(capsys, tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "kind, key", [("real-radical", "m"), ("subcover", "m"), ("glue", "k")]
+    )
+    @pytest.mark.parametrize(
+        "base, at_limit, over",
+        [
+            # an integer coefficient of 32 bits: 2m * 32 = MAX_POWER_BITS
+            ("x + 2147483649", MAX_POWER_BITS // 64, "x + 4294967297"),
+            # each denominator has 16 bits, their common denominator 32
+            ("1/65535*x + 1/65521", MAX_POWER_BITS // 64, "1/65535*x + 1/65539"),
+        ],
+    )
+    def test_document_coefficient_bits(self, capsys, tmp_path, kind, key, base, at_limit, over):
+        code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
+        doc = json.loads(out)
+        name = "element" if kind == "real-radical" else "f"
+        doc[name], doc[key] = base, at_limit
+        assert _power_degree(doc) <= MAX_POWER_DEGREE
+        code, out, _ = self._verify(capsys, tmp_path, doc)
+        assert code == 0 and out.startswith("verified: ")
+        for doc[name], doc[key] in ((base, at_limit + 1), (over, at_limit)):
+            assert _power_degree(doc) <= MAX_POWER_DEGREE
+            code, out, err = self._verify(capsys, tmp_path, doc)
+            assert _usage_error(code, out, err) and f"{MAX_POWER_BITS} bits" in err
+
+    def test_former_slow_document(self, capsys, tmp_path):
+        """A degree-1 base with 30-bit coefficients and m = 64 took seconds to
+        verify before the coefficient-size budget."""
+        code, out, _ = run(capsys, "cert", "find", "--json", "x^2+1", "1")
+        doc = json.loads(out)
+        doc["element"], doc["m"] = "123456789/987654321*x-1", 64
+        code, out, err = self._verify(capsys, tmp_path, doc)
+        assert _usage_error(code, out, err) and "bits" in err
+
     def test_former_runaway_document(self, capsys, tmp_path):
         code, out, _ = run(capsys, "cert", "find", "--json", "x^2+1", "x+1")
         doc = json.loads(out)
@@ -366,6 +405,15 @@ class TestExponentBudget:
         code, out, _ = run(capsys, *argv, "--m2", str(m))
         assert (code, out) == (0, "true\n")
         assert _usage_error(*run(capsys, *argv, "--m2", str(m), flag, str(m + 1)))
+
+    @pytest.mark.parametrize("flag", ["--m1", "--m2"])
+    def test_sigma_eq_coefficient_bits(self, capsys, flag):
+        m = MAX_POWER_BITS // 64  # x + 2147483649 has 32 bits; degree 2m = 64 is in budget
+        argv = ["sigma-eq", "--f", "x + 2147483649", "--num1", "x", "--num2", "x", "--m1", str(m)]
+        code, out, _ = run(capsys, *argv, "--m2", str(m))
+        assert (code, out) == (0, "true\n")
+        code, out, err = run(capsys, *argv, "--m2", str(m), flag, str(m + 1))
+        assert _usage_error(code, out, err) and f"{MAX_POWER_BITS} bits" in err
 
     def test_certify_corpus_within_budget(self, capsys, monkeypatch):
         """Every document of the benchmark's certify corpus stays under the

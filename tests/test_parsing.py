@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspec import DomainError, ParseError, Poly, parse_poly, parse_ring, poly_to_str
-from realspec.parsing import MAX_NESTING
+from realspec.parsing import MAX_EXPONENT, MAX_NESTING
 from realspec.rings import RingKind
 
 
@@ -44,6 +44,16 @@ class TestParse:
             parse_poly("x^65537")
         with pytest.raises(ParseError):
             parse_poly("x^-1")
+
+    def test_nested_power_degree(self):
+        # deg(base) * n is checked before the power is expanded
+        assert parse_poly("((x)^256)^256") == Poly.monomial(1, MAX_EXPONENT)
+        assert parse_poly("(x^2+1)^0") == Poly.one()
+        assert parse_poly("(3)^65536") == Poly.const(3**65536)
+        for text, column in (("((x)^65536)^65536", 13), ("((x)^256)^257", 11), ("(x^2)^32769", 7)):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert err.value.column == column
 
     def test_error_columns(self):
         with pytest.raises(ParseError) as err:

@@ -1,4 +1,5 @@
 import random
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from helpers import (
     count_real_roots_oracle,
     euclid_gcd,
     euclid_squarefree_part,
+    frac_divmod,
+    frac_mul,
     from_sympy,
     random_dense_product,
     random_nonzero_poly,
@@ -90,6 +93,92 @@ class TestArithmetic:
         quo, rem = divmod(a, b)
         assert quo * b + rem == a
         assert rem.is_zero() or rem.degree < b.degree
+
+
+def assert_canonical(p: Poly) -> None:
+    """Content times primitive integer tuple, leading entry positive."""
+    if p.is_zero():
+        assert (p._c, p._p) == (0, ())
+        return
+    assert type(p._c) is Fraction and p._c != 0
+    assert all(type(x) is int for x in p._p)
+    assert math.gcd(*p._p) == 1 and p._p[-1] > 0
+
+
+def wide_polys(max_deg=6):
+    return st.lists(fractions(60, 12), max_size=max_deg + 1).map(Poly)
+
+
+def rational_lead_divisors(max_deg=4):
+    """Leading coefficient a non-integer rational: division takes the scaling path."""
+    lead = st.builds(Fraction, st.sampled_from([-5, -3, -2, 2, 3, 5, 7]), st.sampled_from([2, 3, 4]))
+    return st.tuples(st.lists(fractions(60, 12), max_size=max_deg), lead).map(
+        lambda t: Poly(t[0] + [t[1]])
+    )
+
+
+def monic_integer_divisors(max_deg=4):
+    """Monic with integer coefficients, as every quotient-ring modulus: no scaling."""
+    return st.lists(st.integers(-9, 9), max_size=max_deg).map(lambda cs: Poly(cs + [1]))
+
+
+class TestKernelAgainstFractionReference:
+    """The integer kernel against the Fraction loops it replaced (tests/helpers.py)."""
+
+    @given(wide_polys(), wide_polys(), wide_polys())
+    @settings(max_examples=200, deadline=None)
+    def test_ring_laws(self, a, b, c):
+        for p in (a * b, a + b, a - b, -a, a * b + c):
+            assert_canonical(p)
+        assert (a * b).coeffs == frac_mul(a, b)
+        assert (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
+        assert (a - b) + b == a and a - a == Poly.zero()
+
+    @given(wide_polys(8), st.one_of(rational_lead_divisors(), monic_integer_divisors(), wide_polys(4)))
+    @settings(max_examples=300, deadline=None)
+    def test_divmod(self, a, b):
+        if b.is_zero():
+            return
+        quo, rem = divmod(a, b)
+        assert_canonical(quo)
+        assert_canonical(rem)
+        assert (quo.coeffs, rem.coeffs) == frac_divmod(a, b)
+        assert quo * b + rem == a
+
+    def test_both_divisor_paths(self):
+        # x^3 + 1 by (3/2)x + 1: primitive divisor 3x + 2, whose leading entry
+        # divides no term of the dividend, so every step scales
+        quo, rem = divmod(P("x^3+1"), P("3/2*x+1"))
+        assert (quo.coeffs, rem.coeffs) == frac_divmod(P("x^3+1"), P("3/2*x+1"))
+        assert (quo, rem) == (P("2/3*x^2 - 4/9*x + 8/27"), P("19/27"))
+        # a monic integer modulus divides exactly in the integers
+        quo, rem = divmod(P("7/3*x^5 - x + 2"), P("x^2 - 3*x + 5"))
+        assert (quo.coeffs, rem.coeffs) == frac_divmod(P("7/3*x^5 - x + 2"), P("x^2 - 3*x + 5"))
+
+    def test_canonical_form(self):
+        half = Fraction(1, 2)
+        routes = [
+            Poly([half, 1]), Poly([1, 2]).scale(half), P("x+1/2"), P("2*x+1") * Poly.const(half),
+            P("-4*x-2").scale(Fraction(-1, 4)), P("(x+1/2)^2").derivative().scale(half),
+            P("x^2+3/2*x+1/2") // P("x+1"), P("3*x^2+x") - P("3*x^2-1/2"),
+        ]
+        for p in routes:
+            assert_canonical(p)
+            assert (p._c, p._p) == (half, (1, 2))
+            assert p == routes[0] and hash(p) == hash(routes[0])
+        assert (Poly.zero()._c, Poly.zero()._p) == (0, ())
+        assert_canonical(P("x") - P("x"))
+        assert_canonical(Poly([0, 0, 0]))
+        neg = -P("3*x-6")  # -3 * (x - 2): the sign sits in the content
+        assert (neg._c, neg._p) == (-3, (-2, 1))
+
+    @given(wide_polys(8))
+    @settings(max_examples=150, deadline=None)
+    def test_coeffs_and_round_trip(self, p):
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+        assert Poly(p.coeffs) == p
+        assert P(str(p)) == p and str(P(str(p))) == str(p)
 
 
 class TestGcd:
