@@ -16,9 +16,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, NotASectionError
 from .polynomials import Poly
 from .rings import (
     Ring,
@@ -33,7 +32,6 @@ from .sheaves import (
     glue,
     psi,
     section_eq,
-    section_validate,
 )
 from .spectrum import enumerate_primes
 
@@ -59,7 +57,6 @@ class TrialRecord:
     f: str
     patches: list[tuple[str, str]]
     status: str
-    result: Optional[str] = None
 
 
 @dataclass
@@ -242,22 +239,21 @@ def explore_question(config: ExploreConfig) -> ExplorationReport:
         )
         for _ in range(config.trials):
             section = sample_section(rng, ring)
-            if not section_validate(section).ok:
-                raise AssertionError("sampler produced an invalid section")
-            outcome = glue(section)
-            record = TrialRecord(
-                f=str(section.f),
-                patches=[(str(p.denominator), str(p.numerator)) for p in section.patches],
-                status=outcome.status.value,
-            )
+            try:
+                outcome = glue(section)  # validates the section
+            except NotASectionError:
+                raise AssertionError("sampler produced an invalid section") from None
             if outcome.glued:
                 report.tallies["glued"] += 1
                 # glued outcomes must re-verify against the input section
                 if not section_eq(psi(outcome.fraction), section):
                     raise AssertionError("glued fraction disagrees with its section")
-                record.result = str(outcome.fraction)
             else:
                 report.tallies["blocked"] += 1
-                report.unresolved.append(record)
+                report.unresolved.append(TrialRecord(
+                    f=str(section.f),
+                    patches=[(str(p.denominator), str(p.numerator)) for p in section.patches],
+                    status=outcome.status.value,
+                ))
         reports.append(report)
     return ExplorationReport(config, reports)

@@ -10,13 +10,15 @@ Grammar for polynomials over the variable x (tightest binding first):
 
 There is no general division; NAT '/' NAT is an exact rational literal.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
-descent well inside Python's recursion limit.
+descent well inside Python's recursion limit. A power is checked against
+MAX_EXPONENT and MAX_POWER_SIZE before it is expanded.
 Ring descriptions are "Q[x]" or "Q[x]/(<poly>)". Printing (Poly.__str__)
 round-trips through parse_poly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +28,28 @@ from .rings import Ring
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100
+#: Budget for `_power_size`; the largest admissible power, (x+1)^1023, takes
+#: about 0.2 s on a 2-vCPU x86_64 host.
+MAX_POWER_SIZE = 1 << 20
+
+
+def _power_size(base: Poly, n: int) -> float:
+    """Bound on the work of expanding base^n, from its coefficient bits
+    n*log2|base|, where |base| is the 1-norm of its numerators over a common
+    denominator, or that denominator if larger.
+
+    A monomial is powered by shifting, so only its one coefficient counts.
+    Any other power has deg+1 coefficients of at most that many bits, and
+    squaring it takes (deg+1)^2 products however small they are, so the bits
+    count at least deg+1 each.
+    """
+    cs = [c for c in base.coeffs if c]
+    den = math.lcm(*(c.denominator for c in cs))
+    bits = n * math.log2(max(sum(abs(c.numerator) * (den // c.denominator) for c in cs), den))
+    if len(cs) <= 1:
+        return bits
+    size = max(base.degree, 0) * n + 1
+    return size * max(size, bits)
 
 
 @dataclass(frozen=True)
@@ -133,6 +157,8 @@ class _Parser:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
             if max(base.degree, 0) * exponent > MAX_EXPONENT:  # checked before expanding
                 raise ParseError(f"power has degree above {MAX_EXPONENT}", exp_tok.column)
+            if _power_size(base, exponent) > MAX_POWER_SIZE:
+                raise ParseError(f"power has size above {MAX_POWER_SIZE} bits", exp_tok.column)
             return base**exponent
         return base
 

@@ -177,14 +177,14 @@ class Poly:
         p = self._p
         if p and p.count(0) == len(p) - 1:  # monomials power by shifting, not by squaring
             return Poly.monomial(self._c**n, (len(p) - 1) * n)
-        result = _ONE
-        base = self
-        while n:
+        result, base = None, self
+        while n:  # square only while exponent bits remain
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return _ONE if result is None else result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         div = other._p

@@ -107,25 +107,8 @@ class Ring:
         return RingElem(self, Poly.one())
 
     def ideal(self, generator: ElemLike) -> "Ideal":
-        """Principal ideal in canonical form.
-
-        BASE: the monic associate (or 0). QUOTIENT: monic gcd of the lifted
-        generator with the modulus, so the canonical generator always divides
-        the modulus; the zero ideal is represented by the modulus itself.
-        """
-        if isinstance(generator, RingElem):
-            if generator.ring != self:
-                raise RingMismatchError("generator belongs to a different ring")
-            lift = generator.rep
-        elif isinstance(generator, Poly):
-            lift = generator
-        else:
-            lift = Poly.const(Fraction(generator))
-        if not self.is_quotient:
-            gen = Poly.zero() if lift.is_zero() else lift.monic()
-        else:
-            gen = self.modulus if lift.is_zero() else gcd(lift, self.modulus)
-        return Ideal(self, gen)
+        """Principal ideal in canonical form (see ideal_sum)."""
+        return ideal_sum(self, (generator,))
 
     def zero_ideal(self) -> "Ideal":
         return self.ideal(Poly.zero())
@@ -177,14 +160,14 @@ class RingElem:
     def __pow__(self, n: int) -> "RingElem":
         if n < 0:
             raise DomainError("negative power of a ring element")
-        result = self.ring.one()
-        base = self
-        while n:
+        result, base = None, self
+        while n:  # square only while exponent bits remain
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.ring.one() if result is None else result
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -195,7 +178,7 @@ class RingElem:
 
 @dataclass(frozen=True)
 class Ideal:
-    """Principal ideal with canonical generator (see Ring.ideal)."""
+    """Principal ideal with canonical generator (see ideal_sum)."""
 
     ring: Ring
     gen: Poly
@@ -223,22 +206,32 @@ class Ideal:
     def sum(self, other: "Ideal") -> "Ideal":
         if self.ring != other.ring:
             raise RingMismatchError("ideals of different rings")
-        if self.gen.is_zero():
-            return other if not other.gen.is_zero() else self.ring.zero_ideal()
-        if other.gen.is_zero():
-            return self
-        return self.ring.ideal(gcd(self.gen, other.gen))
+        return ideal_sum(self.ring, (self.gen, other.gen))
 
     def __str__(self) -> str:
         return f"({self.gen})"
 
 
-def ideal_sum(ring: Ring, gens: Iterable[RingElem]) -> Ideal:
-    """The ideal the family generates; the zero ideal for an empty family."""
-    acc = ring.zero_ideal()
+def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
+    """The ideal the family generates, in canonical form; every canonical
+    generator is made here.
+
+    BASE: the monic gcd of the lifts, 0 for the zero ideal. QUOTIENT: the
+    monic gcd of the lifts and the modulus, so the generator always divides
+    the modulus and the zero ideal is the modulus itself. One gcd per
+    nonzero lift, folded into an accumulator that starts at the zero ideal.
+    """
+    acc = ring.modulus if ring.is_quotient else Poly.zero()
     for g in gens:
-        acc = acc.sum(ring.ideal(g))
-    return acc
+        if isinstance(g, RingElem):
+            if g.ring != ring:
+                raise RingMismatchError("generator belongs to a different ring")
+            g = g.rep
+        elif not isinstance(g, Poly):
+            g = Poly.const(Fraction(g))
+        if not g.is_zero():
+            acc = gcd(acc, g) if not acc.is_zero() else g.monic()
+    return Ideal(ring, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -263,10 +263,15 @@ def _equalize_limit(ring: Ring) -> int:
 
 
 def equalize(s: Section) -> Section:
-    """Same section, rewritten so g_i * a_j = g_j * a_i holds exactly."""
-    report = section_validate(s)
-    if not report.ok:
+    """Same section, rewritten so g_i * a_j = g_j * a_i holds exactly.
+    Validates first; `glue` validates once itself and calls `_equalized`."""
+    if not section_validate(s).ok:
         raise NotASectionError("cannot equalize invalid local data")
+    return _equalized(s)
+
+
+def _equalized(s: Section) -> Section:
+    """equalize for a section the caller has validated."""
     m = _equalize_exponent(s, _equalize_limit(s.ring))
     if m is None:
         raise EqualizeBlockedError("no equalizing exponent exists within the complete bound")
@@ -308,11 +313,12 @@ def glue(s: Section) -> GlueOutcome:
 
     Always succeeds over real rings; over semi-real rings it runs in an
     experimental capacity and reports distinctly when the equalizing step is
-    provably blocked.
+    provably blocked. The section is validated once, here, and the
+    equalizing step relies on that check; `ideal_sum` gives the canonical
+    generator of the denominators' ideal.
     """
     ring = s.ring
-    report = section_validate(s)
-    if not report.ok:
+    if not section_validate(s).ok:
         raise NotASectionError("the local data is not a section")
 
     # psi image round trip: give back the witnessed preimage unchanged
@@ -324,7 +330,7 @@ def glue(s: Section) -> GlueOutcome:
             return GlueOutcome(GlueStatus.GLUED, SigmaFraction(p.numerator, w), cert, s)
 
     try:
-        eq = equalize(s)
+        eq = _equalized(s)
     except EqualizeBlockedError:
         return GlueOutcome(GlueStatus.BLOCKED)
 

@@ -95,9 +95,7 @@ class ClosedSet:
         return self.gen.is_one()
 
     def defining_ideal(self) -> Ideal:
-        if self.gen.is_zero():
-            return self.ring.zero_ideal()
-        return self.ring.ideal(self.gen)
+        return self.ring.ideal(self.gen)  # 0 gives the zero ideal
 
     def __str__(self) -> str:
         if self.is_whole():
@@ -145,10 +143,7 @@ def closed_intersect(vs: Sequence[ClosedSet]) -> ClosedSet:
     if not vs:
         raise DomainError("intersection of an empty family is undefined")
     ring = _check_same_ring(list(vs))
-    acc = vs[0].defining_ideal()
-    for v in vs[1:]:
-        acc = acc.sum(v.defining_ideal())
-    return v_of(acc)
+    return v_of(ideal_sum(ring, [v.gen for v in vs]))  # a whole set's 0 adds nothing
 
 
 def closed_subset(v1: ClosedSet, v2: ClosedSet) -> bool:
@@ -247,7 +242,7 @@ def finite_subcover(f: RingElem, fs: Sequence[RingElem]) -> SubcoverOutcome:
     for i, g in enumerate(fs):
         if _radical_gen(acc) == target:
             break
-        cand = acc.sum(ring.ideal(g))
+        cand = ideal_sum(ring, (acc.gen, g))
         if _radical_gen(cand) != _radical_gen(acc):
             kept.append(i)
             acc = cand

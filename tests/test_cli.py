@@ -72,6 +72,11 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "column 13" in err
 
+    def test_power_size_budget(self, capsys):
+        code, out, err = run(capsys, "sturm", "(x+1)^1024")
+        assert (code, out) == (2, "")
+        assert "column 7" in err
+
     def test_precondition_violation(self, capsys):
         code, _, err = run(capsys, "subcover", "--f", "x^2-1", "x+2")
         assert code == 3

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
-from realspec import InputError
+from realspec import InputError, LocalFraction, Section
+from realspec.cli import main
 from realspec.explore import (
     ExploreConfig,
     explore_question,
@@ -62,3 +64,37 @@ def test_config_rejects_bad_values(kwargs):
 def test_sampler_failure_is_typed():
     with pytest.raises(InputError):
         sample_semireal_nonreal_ring(random.Random(0), 9, 12)
+
+
+# sha256 of the stdout of `realspec explore-question` at its defaults and of
+# `realspec explore-question --json --seed 3`, pinned so that speed-ups of the
+# glue path cannot change a report
+DEFAULT_TEXT_SHA256 = "24614ade60d7f8183468f5dbda8ae601fefc46f5b7cf4203a840dddebb22c764"
+JSON_SEED_3_SHA256 = "5cb2effa8629f3bdc7393e6e91ffd1bb817bfe5f2ecaec9ec0f91ea833c0630a"
+
+
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_default_report_is_pinned(capsys):
+    out = _stdout(capsys, "explore-question")
+    assert out.endswith("totals: glued=187 certificate-exhausted=0 blocked=13\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_TEXT_SHA256
+
+
+def test_json_report_is_pinned(capsys):
+    out = _stdout(capsys, "explore-question", "--json", "--seed", "3")
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_SEED_3_SHA256
+
+
+def test_invalid_sampled_section_is_caught(monkeypatch):
+    def disagreeing(rng, ring):
+        # 1/1 and 0/1 over D(1) differ at every real prime, and the ring has one
+        one = ring.one()
+        return Section(ring, one, (LocalFraction(one, one), LocalFraction(ring.zero(), one)))
+
+    monkeypatch.setattr("realspec.explore.sample_section", disagreeing)
+    with pytest.raises(AssertionError, match="sampler produced an invalid section"):
+        explore_question(ExploreConfig(rings=1, trials=1, seed=0))

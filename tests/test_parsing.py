@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspec import DomainError, ParseError, Poly, parse_poly, parse_ring, poly_to_str
-from realspec.parsing import MAX_EXPONENT, MAX_NESTING
+from realspec.parsing import MAX_EXPONENT, MAX_NESTING, MAX_POWER_SIZE
 from realspec.rings import RingKind
 
 
@@ -54,6 +55,25 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse_poly(text)
             assert err.value.column == column
+
+    def test_power_size_budget(self):
+        # (deg+1) * max(deg+1, n*log2|base|) for a power with two or more terms
+        assert MAX_POWER_SIZE == 1024 * 1024
+        assert parse_poly("(x+1)^1023").coefficient(512) == math.comb(1023, 512)
+        # a monomial counts its coefficient bits only: 2^20 at the limit
+        assert parse_poly("((2)^32)^32768") == Poly.const(2 ** (1 << 20))
+        assert parse_poly("(1/4*x)^2") == Poly.monomial(Fraction(1, 16), 2)
+        for text, column in (
+            ("(x+1)^1024", 7),
+            ("((2)^32)^32769", 10),
+            ("((2)^65536)^65536", 13),  # a 2^32-bit integer
+            ("((1/3)^65536)^65536", 15),  # the denominator counts too
+            ("(1/2*x+1/2)^1024", 13),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert err.value.column == column
+            assert "size" in str(err.value)
 
     def test_error_columns(self):
         with pytest.raises(ParseError) as err:

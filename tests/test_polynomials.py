@@ -51,6 +51,26 @@ def nonzero_polys(max_deg=6):
 
 
 class TestArithmetic:
+    def test_power_squares_only_while_bits_remain(self, monkeypatch):
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        f = P("x+1")
+        expected = Poly.one()
+        for n in range(1, 65):
+            expected = mul(expected, f)
+            monkeypatch.setattr(Poly, "__mul__", counting)
+            calls.clear()
+            assert f**n == expected
+            monkeypatch.setattr(Poly, "__mul__", mul)
+            # one square per bit after the first, one product per set bit after the first
+            assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
+        assert f**0 == Poly.one()
+
     def test_add_cancellation(self):
         assert P("x^2-1") + P("1") == P("x^2")
 

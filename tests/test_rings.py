@@ -25,8 +25,16 @@ from realspec import (
 )
 from realspec.parsing import parse_poly as P
 from realspec.polynomials import is_irreducible, lcm, real_part
+from realspec.rings import RingElem, ideal_sum
 
-from helpers import random_dense_product, random_elem, random_real_quotient, random_structured_poly
+from helpers import (
+    from_sympy,
+    random_dense_product,
+    random_elem,
+    random_real_quotient,
+    random_structured_poly,
+    to_sympy,
+)
 
 
 BASE = Ring.rationals()
@@ -100,6 +108,88 @@ class TestRingConstruction:
         assert r.ideal(P("x^3")).gen == P("x")  # gcd with modulus
         assert r.zero_ideal().gen == P("x^2-x")
         assert BASE.zero_ideal().gen == Poly.zero()
+
+
+def reference_ideal_gen(ring, lifts):
+    """Monic gcd of the lifts and the modulus, by sympy; 0 if all are 0."""
+    acc = to_sympy(Poly.zero())
+    for p in list(lifts) + ([ring.modulus] if ring.is_quotient else []):
+        acc = acc.gcd(to_sympy(p))
+    return Poly.zero() if acc.is_zero else from_sympy(acc.monic())
+
+
+@st.composite
+def rings_and_families(draw):
+    """(ring, lifts): Q[x] or Q[x]/(m) with m monic of degree 1..4, and up to
+    four lifts mixing random polynomials, 0, the modulus and units."""
+    if draw(st.booleans()):
+        ring = BASE
+    else:
+        roots = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        m = Poly.one()
+        for r in roots:
+            m = m * Poly([-r, 1])
+        ring = Ring.quotient(m * P("x^2+1") if draw(st.booleans()) else m)
+    special = [Poly.zero(), P("-3/2"), P("1")] + ([ring.modulus] if ring.is_quotient else [])
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    random_poly = st.lists(coeff, max_size=6).map(Poly)
+    lifts = draw(st.lists(st.one_of(random_poly, st.sampled_from(special)), max_size=4))
+    return ring, lifts
+
+
+class TestIdealSum:
+    @given(rings_and_families())
+    @settings(max_examples=200, deadline=None)
+    def test_against_sympy_gcd(self, case):
+        ring, lifts = case
+        want = reference_ideal_gen(ring, lifts)
+        assert ideal_sum(ring, lifts).gen == want
+        assert ideal_sum(ring, [ring.elem(p) for p in lifts]).gen == want
+        acc = ring.zero_ideal()
+        for p in lifts:
+            assert ring.ideal(p).gen == reference_ideal_gen(ring, [p])
+            acc = acc.sum(ring.ideal(ring.elem(p)))
+        assert acc.gen == want
+
+    def test_empty_family_is_the_zero_ideal(self):
+        assert ideal_sum(BASE, []).gen == Poly.zero()
+        ring = quot("x^3-x")
+        assert ideal_sum(ring, ()).gen == ring.modulus
+        assert ideal_sum(ring, ()) == ring.zero_ideal()
+
+    def test_constants_and_mismatch(self):
+        ring = quot("x^2-x")
+        assert ring.ideal(5).gen == Poly.one()
+        assert ring.ideal(Fraction(0)).gen == ring.modulus
+        assert ideal_sum(ring, [P("x^3"), P("x^2+x")]).gen == P("x")
+        with pytest.raises(RingMismatchError):
+            ring.ideal(BASE.one())
+        with pytest.raises(RingMismatchError):
+            ideal_sum(ring, [ring.one(), BASE.one()])
+        with pytest.raises(RingMismatchError):
+            ring.zero_ideal().sum(BASE.zero_ideal())
+
+
+class TestElemPower:
+    def test_squares_only_while_bits_remain(self, monkeypatch):
+        ring = quot("x^5-x-1")
+        e = ring.elem(P("x^2+2*x-1"))
+        mul = RingElem.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        expected = ring.one()
+        for n in range(1, 65):
+            expected = mul(expected, e)
+            monkeypatch.setattr(RingElem, "__mul__", counting)
+            calls.clear()
+            assert e**n == expected
+            monkeypatch.setattr(RingElem, "__mul__", mul)
+            assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
+        assert e**0 == ring.one()
 
 
 class TestAnnihilator:

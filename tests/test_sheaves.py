@@ -205,6 +205,9 @@ class TestEqualize:
     def test_invalid_section(self):
         with pytest.raises(NotASectionError):
             equalize(section(BASE, "1", [("1", "x"), ("1", "x+1")]))
+        # D(x) misses the prime (x), so one patch on it does not cover D(1)
+        with pytest.raises(NotASectionError):
+            equalize(section(quot("x^2-x"), "1", [("x", "1")]))
 
 
 class TestGlue:
@@ -230,6 +233,9 @@ class TestGlue:
         s = section(BASE, "x^2-1", [("x-1", "1"), ("x+1", "1")])
         with pytest.raises(NotASectionError):
             glue(s)
+        # a cover of D(1), but the two patches differ at both real primes
+        with pytest.raises(NotASectionError):
+            glue(section(quot("x^2-x"), "1", [("1", "1"), ("1", "0")]))
 
     def test_closing_identity(self):
         ring, f, patches = WORKED
