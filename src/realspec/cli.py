@@ -2,7 +2,11 @@
 
 Every operation of the library is reachable as a subcommand; structured
 output is available through --json. Certificate-producing commands emit
-JSON documents that `cert verify` re-checks from the document alone.
+JSON documents that `cert verify` re-checks from the document alone. The
+three document kinds (real-radical, subcover, glue) keep their own keys,
+but each is read into the one `rings.Certificate` identity
+sum(coeffs[i] * gens[i]) = f^(2m) + sum of squares and checked by the one
+`rings.verify_certificate` (a glue document also by its closing identity).
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition violation,
 4 glue blocked (`section glue` found no equalizing exponent).
@@ -30,17 +34,15 @@ from .explore import ExploreConfig, explore_question
 from .parsing import parse_poly, parse_ring
 from .polynomials import count_real_roots, factor, real_part
 from .rings import (
-    RealRadicalCertificate,
+    Certificate,
     Ring,
     SigmaDenominator,
     SumOfSquares,
-    classify,
     find_certificate,
     real_radical,
     verify_certificate,
 )
 from .sheaves import (
-    GlueCertificate,
     GlueStatus,
     LocalFraction,
     Section,
@@ -54,7 +56,6 @@ from .sheaves import (
 )
 from .spectrum import (
     RealPrime,
-    SubcoverCertificate,
     closed_intersect,
     closed_subset,
     closed_union,
@@ -62,7 +63,6 @@ from .spectrum import (
     enumerate_primes,
     finite_subcover,
     v_of,
-    verify_subcover_certificate,
 )
 
 EXIT_OK = 0
@@ -119,45 +119,22 @@ def _parse_sos(ring: Ring, text: Optional[str]) -> SumOfSquares:
 
 
 # ---------------------------------------------------------------------------
-# JSON certificate documents
+# JSON certificate documents: each kind keeps its own keys
 
 
-def _real_radical_cert_doc(ring: Ring, cert: RealRadicalCertificate) -> dict:
-    return {
-        "kind": "real-radical",
-        "ring": str(ring),
-        "ideal": str(cert.ideal.gen),
-        "element": str(cert.a),
-        "m": cert.m,
-        "sos": [str(t) for t in cert.sos.terms],
-        "cofactor": str(cert.cofactor),
-    }
+def _strs(elems) -> list[str]:
+    return [str(e) for e in elems]
 
 
-def _subcover_cert_doc(ring: Ring, cert: SubcoverCertificate) -> dict:
-    return {
-        "kind": "subcover",
-        "ring": str(ring),
-        "f": str(cert.f),
-        "covers": [str(g) for g in cert.covers],
-        "indices": list(cert.indices),
-        "coeffs": [str(c) for c in cert.coeffs],
-        "m": cert.m,
-        "sos": [str(t) for t in cert.sos.terms],
-    }
+def _cert_doc(kind: str, ring: Ring, cert: Certificate, exponent: str, **fields) -> dict:
+    """The keys every kind shares; `fields` holds the kind's own."""
+    sos = _strs(cert.sos.terms)
+    return {"kind": kind, "ring": str(ring), exponent: cert.m, "sos": sos, **fields}
 
 
-def _glue_cert_doc(ring: Ring, eq: Section, frac: SigmaFraction, cert: GlueCertificate) -> dict:
-    return {
-        "kind": "glue",
-        "ring": str(ring),
-        "f": str(eq.f),
-        "patches": [{"g": str(p.denominator), "a": str(p.numerator)} for p in eq.patches],
-        "coeffs": [str(c) for c in cert.coeffs],
-        "k": cert.k,
-        "sos": [str(t) for t in cert.sos.terms],
-        "numerator": str(frac.numerator),
-    }
+def _cert_line(cert: Certificate, exponent: str) -> str:
+    coeffs, sos = ", ".join(_strs(cert.coeffs)), ", ".join(_strs(cert.sos.terms))
+    return f"certificate: coeffs=[{coeffs}] {exponent}={cert.m} sos=[{sos}]"
 
 
 def _doc_value(doc, key: str, kind: type, item: Optional[type] = None):
@@ -177,30 +154,28 @@ def _doc_elems(ring: Ring, doc: dict, key: str) -> tuple:
 
 
 def _verify_cert_doc(doc) -> bool:
+    """Read a document of any kind into one Certificate and verify it; a glue
+    document's fraction must also pass the closing identity (verify_glue)."""
     kind = _doc_value(doc, "kind", str)
     ring = parse_ring(_doc_value(doc, "ring", str))
     sos = SumOfSquares(_doc_elems(ring, doc, "sos"))
     if kind == "real-radical":
-        a = _doc_elem(ring, doc, "element")
-        cert = RealRadicalCertificate(
-            a=a,
-            m=_checked_power(a, _doc_value(doc, "m", int)),
-            sos=sos,
-            cofactor=_doc_elem(ring, doc, "cofactor"),
-            ideal=ring.ideal(parse_poly(_doc_value(doc, "ideal", str))),
-        )
-        return verify_certificate(cert)
-    if kind == "subcover":
+        f = _doc_elem(ring, doc, "element")
+        m = _checked_power(f, _doc_value(doc, "m", int))
+        coeffs = (_doc_elem(ring, doc, "cofactor"),)
+        gens = (ring.elem(ring.ideal(parse_poly(_doc_value(doc, "ideal", str))).gen),)
+        if m < 1:
+            raise DomainError("certificate exponent must be positive")
+    elif kind == "subcover":
         covers = _doc_elems(ring, doc, "covers")
-        indices = tuple(_doc_value(doc, "indices", list, int))
+        indices = _doc_value(doc, "indices", list, int)
         coeffs = _doc_elems(ring, doc, "coeffs")
         if len(coeffs) != len(indices) or not all(0 <= i < len(covers) for i in indices):
             raise InputError("subcover certificate needs one coefficient per index into covers")
+        gens = tuple(covers[i] for i in indices)
         f = _doc_elem(ring, doc, "f")
         m = _checked_power(f, _doc_value(doc, "m", int))
-        cert = SubcoverCertificate(f, covers, indices, coeffs, m, sos)
-        return verify_subcover_certificate(cert)
-    if kind == "glue":
+    elif kind == "glue":
         f = _doc_elem(ring, doc, "f")
         patches = tuple(
             LocalFraction(_doc_elem(ring, p, "a"), _doc_elem(ring, p, "g"))
@@ -209,10 +184,14 @@ def _verify_cert_doc(doc) -> bool:
         coeffs = _doc_elems(ring, doc, "coeffs")
         if len(coeffs) != len(patches):
             raise InputError("glue certificate needs one coefficient per patch")
-        cert = GlueCertificate(coeffs, _checked_power(f, _doc_value(doc, "k", int)), sos)
-        frac = SigmaFraction(_doc_elem(ring, doc, "numerator"), SigmaDenominator(f, cert.k, sos))
-        return verify_glue(Section(ring, f, patches), frac, cert)
-    raise InputError(f"unknown certificate kind {kind!r}")
+        m = _checked_power(f, _doc_value(doc, "k", int))
+        frac = SigmaFraction(_doc_elem(ring, doc, "numerator"), SigmaDenominator(f, m, sos))
+        section = Section(ring, f, patches)
+        gens = tuple(section.denominators())
+    else:
+        raise InputError(f"unknown certificate kind {kind!r}")
+    cert = Certificate(f, m, sos, gens, coeffs)
+    return verify_glue(section, frac, cert) if kind == "glue" else verify_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +227,7 @@ def _cmd_sturm(args):
 
 def _cmd_classify(args):
     ring = _ring(args)
-    is_real, is_semireal = classify(ring)
+    is_real, is_semireal = ring.is_real, ring.is_semireal
     text = f"real={str(is_real).lower()} semireal={str(is_semireal).lower()}"
     return EXIT_OK, {"real": is_real, "semireal": is_semireal}, [text]
 
@@ -295,17 +274,12 @@ def _cmd_subcover(args):
     f = ring.elem(parse_poly(args.f))
     fs = [ring.elem(parse_poly(g)) for g in args.gens]
     outcome = finite_subcover(f, fs)
-    cert = outcome.certificate
-    lines = [
-        f"indices {list(outcome.indices)}",
-        "certificate: coeffs=[%s] m=%d sos=[%s]"
-        % (
-            ", ".join(str(c) for c in cert.coeffs),
-            cert.m,
-            ", ".join(str(t) for t in cert.sos.terms),
-        ),
-    ]
-    return EXIT_OK, _subcover_cert_doc(ring, cert), lines
+    cert, indices = outcome.certificate, list(outcome.indices)
+    payload = _cert_doc(
+        "subcover", ring, cert, "m",
+        f=str(f), covers=_strs(fs), indices=indices, coeffs=_strs(cert.coeffs),
+    )
+    return EXIT_OK, payload, [f"indices {indices}", _cert_line(cert, "m")]
 
 
 def _cmd_cert_find(args):
@@ -316,12 +290,14 @@ def _cmd_cert_find(args):
     if not outcome.found:
         return EXIT_OK, {"kind": "real-radical", "member": False}, ["member: false"]
     cert = outcome.certificate
-    lines = [
-        "member: true",
-        "certificate: m=%d sos=[%s] cofactor=%s"
-        % (cert.m, ", ".join(str(t) for t in cert.sos.terms), cert.cofactor),
-    ]
-    return EXIT_OK, _real_radical_cert_doc(ring, cert), lines
+    sos, cofactor = _strs(cert.sos.terms), str(cert.coeffs[0])
+    # "ideal" prints the ideal's generator: as a ring element, the zero
+    # ideal's generator (the modulus) would print as 0
+    payload = _cert_doc(
+        "real-radical", ring, cert, "m", ideal=str(ideal.gen), element=str(a), cofactor=cofactor
+    )
+    lines = ["member: true", f"certificate: m={cert.m} sos=[{', '.join(sos)}] cofactor={cofactor}"]
+    return EXIT_OK, payload, lines
 
 
 def _cmd_cert_verify(args):
@@ -364,18 +340,13 @@ def _cmd_section_glue(args):
     section = _section_from_args(args, ring)
     outcome = glue(section)
     if outcome.status is GlueStatus.GLUED:
-        frac = outcome.fraction
-        payload = _glue_cert_doc(ring, outcome.equalized, frac, outcome.certificate)
-        lines = [
-            str(frac),
-            "certificate: coeffs=[%s] k=%d sos=[%s]"
-            % (
-                ", ".join(str(c) for c in outcome.certificate.coeffs),
-                outcome.certificate.k,
-                ", ".join(str(t) for t in outcome.certificate.sos.terms),
-            ),
-        ]
-        return EXIT_OK, payload, lines
+        eq, frac, cert = outcome.equalized, outcome.fraction, outcome.certificate
+        payload = _cert_doc(
+            "glue", ring, cert, "k",
+            f=str(eq.f), coeffs=_strs(cert.coeffs), numerator=str(frac.numerator),
+            patches=[{"g": str(p.denominator), "a": str(p.numerator)} for p in eq.patches],
+        )
+        return EXIT_OK, payload, [str(frac), _cert_line(cert, "k")]
     payload = {"kind": "glue", "status": outcome.status.value}
     return EXIT_BLOCKED, payload, [f"glue failed: {outcome.status.value}"]
 

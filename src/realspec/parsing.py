@@ -10,8 +10,9 @@ Grammar for polynomials over the variable x (tightest binding first):
 
 There is no general division; NAT '/' NAT is an exact rational literal.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
-descent well inside Python's recursion limit. A power is checked against
-MAX_EXPONENT and MAX_POWER_SIZE before it is expanded.
+descent well inside Python's recursion limit. A power or a product is
+checked against MAX_EXPONENT and MAX_POWER_SIZE (`_check_size`) before it
+is expanded.
 Ring descriptions are "Q[x]" or "Q[x]/(<poly>)". Printing (Poly.__str__)
 round-trips through parse_poly.
 """
@@ -28,28 +29,32 @@ from .rings import Ring
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100
-#: Budget for `_power_size`; the largest admissible power, (x+1)^1023, takes
-#: about 0.2 s on a 2-vCPU x86_64 host.
+#: Budget for `_check_size`; the largest admissible power, (x+1)^1023, takes about
+#: 0.2 s on a 2-vCPU x86_64 host.
 MAX_POWER_SIZE = 1 << 20
 
 
-def _power_size(base: Poly, n: int) -> float:
-    """Bound on the work of expanding base^n, from its coefficient bits
-    n*log2|base|, where |base| is the 1-norm of its numerators over a common
-    denominator, or that denominator if larger.
+def _check_size(factors: list[tuple[Poly, int]], what: str, column: int) -> None:
+    """Refuse, before it is expanded, a product of powers base^n over the
+    pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size exceeds
+    MAX_POWER_SIZE. A power is one pair, a product p*q the pairs (p, 1), (q, 1).
 
-    A monomial is powered by shifting, so only its one coefficient counts.
-    Any other power has deg+1 coefficients of at most that many bits, and
-    squaring it takes (deg+1)^2 products however small they are, so the bits
-    count at least deg+1 each.
+    The size bounds the work from the coefficient bits, at most the sum of
+    n*log2(base.height). A product of monomials is a shift, so its bits are
+    its size. Any other result has deg+1 coefficients of at most that many
+    bits, and squaring or convolving takes (deg+1)^2 products however small
+    they are, so the bits count at least deg+1 each.
     """
-    cs = [c for c in base.coeffs if c]
-    den = math.lcm(*(c.denominator for c in cs))
-    bits = n * math.log2(max(sum(abs(c.numerator) * (den // c.denominator) for c in cs), den))
-    if len(cs) <= 1:
-        return bits
-    size = max(base.degree, 0) * n + 1
-    return size * max(size, bits)
+    degree, bits = 0, 0.0
+    for base, n in factors:
+        degree += max(base.degree, 0) * n
+        bits += n * math.log2(base.height)
+    if degree > MAX_EXPONENT:
+        raise ParseError(f"{what} has degree above {MAX_EXPONENT}", column)
+    if any(base.terms > 1 for base, _ in factors):
+        bits = (degree + 1) * max(degree + 1, bits)
+    if bits > MAX_POWER_SIZE:
+        raise ParseError(f"{what} has size above {MAX_POWER_SIZE} bits", column)
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,9 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
-                value = value * self.unary()
+                rhs = self.unary()
+                _check_size([(value, 1), (rhs, 1)], "product", tok.column)
+                value = value * rhs
             else:
                 return value
 
@@ -155,10 +162,7 @@ class _Parser:
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
-            if max(base.degree, 0) * exponent > MAX_EXPONENT:  # checked before expanding
-                raise ParseError(f"power has degree above {MAX_EXPONENT}", exp_tok.column)
-            if _power_size(base, exponent) > MAX_POWER_SIZE:
-                raise ParseError(f"power has size above {MAX_POWER_SIZE} bits", exp_tok.column)
+            _check_size([(base, exponent)], "power", exp_tok.column)
             return base**exponent
         return base
 

@@ -122,6 +122,19 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self._p) <= 1
 
+    @property
+    def terms(self) -> int:
+        """Number of nonzero coefficients."""
+        return len(self._p) - self._p.count(0)
+
+    @property
+    def height(self) -> int:
+        """1-norm of the numerators over their common denominator (the
+        content's numerator times the primitive entries), or that
+        denominator if larger."""
+        c = self._c
+        return max(abs(c.numerator) * sum(map(abs, self._p)), c.denominator)
+
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self._p):
             return self._c * self._p[power]

@@ -1,10 +1,14 @@
 """The ring layer: Q[x] and quotients Q[x]/(m).
 
 Principal ideals in canonical form, annihilators, reality / semi-reality
-classification, and real radicals together with verifiable witness
-certificates a^(2m) + sum(b_i^2) = cofactor * gen. Such a certificate is
-the real Nullstellensatz witness of membership; `find_certificate` builds
-one for every member, with no search (see its docstring for the proof).
+classification, and real radicals with witness certificates. Every
+certificate of the library is one `Certificate`, standing for the one
+identity sum(coeffs[i] * gens[i]) = f^(2m) + sum of squares, the real
+Nullstellensatz witness that f lies in the real radical of the ideal the
+gens generate; `verify_certificate` is its one verifier. `find_certificate`
+builds one, with no search, for every member of a principal ideal's real
+radical (see its docstring for the proof), and `combination_certificate`
+spreads it over a whole family of generators.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import DomainError, RingMismatchError
 from .polynomials import (
     Poly,
     Factorization,
+    bezout_many,
     count_real_roots,
     ext_gcd,
     factor,
@@ -120,15 +125,6 @@ class Ring:
         if self.is_quotient:
             return f"Q[x]/({self.modulus})"
         return "Q[x]"
-
-
-def make_ring(kind: RingKind, modulus: Optional[Poly] = None) -> Ring:
-    return Ring(kind, modulus)
-
-
-def classify(ring: Ring) -> tuple[bool, bool]:
-    """(is_real, is_semireal); is_real always implies is_semireal."""
-    return ring.is_real, ring.is_semireal
 
 
 @dataclass(frozen=True)
@@ -244,30 +240,12 @@ class SumOfSquares:
 
     terms: tuple[RingElem, ...] = ()
 
-    @staticmethod
-    def of(terms: Sequence[RingElem]) -> "SumOfSquares":
-        return SumOfSquares(tuple(terms))
-
-    def value(self) -> RingElem:
-        if not self.terms:
-            raise DomainError("empty sum of squares has no ambient ring; use value_in")
-        acc = self.terms[0].ring.zero()
-        for t in self.terms:
-            acc = acc + t * t
-        return acc
-
     def value_in(self, ring: Ring) -> RingElem:
         acc = ring.zero()
         for t in self.terms:
             if t.ring != ring:
                 raise RingMismatchError("sum of squares crosses rings")
             acc = acc + t * t
-        return acc
-
-    def lift_value(self) -> Poly:
-        acc = Poly.zero()
-        for t in self.terms:
-            acc = acc + t.rep * t.rep
         return acc
 
 
@@ -288,9 +266,6 @@ class SigmaDenominator:
     def value(self) -> RingElem:
         ring = self.f.ring
         return self.f ** (2 * self.m) + self.tail.value_in(ring)
-
-    def lift_value(self) -> Poly:
-        return self.f.rep ** (2 * self.m) + self.tail.lift_value()
 
 
 # ---------------------------------------------------------------------------
@@ -338,28 +313,28 @@ def real_radical_member(ideal: Ideal, a: RingElem) -> bool:
 
 
 @dataclass(frozen=True)
-class RealRadicalCertificate:
-    """Witness of a in the real radical: a^(2m) + sos = cofactor * gen, in the ring."""
+class Certificate:
+    """Witness sum(coeffs[i] * gens[i]) = f^(2m) + sos, in the ring of f.
 
-    a: RingElem
+    It shows f in the real radical of the ideal the gens generate. A
+    real-radical certificate has the ideal's generator as its one gen and
+    the cofactor as its coefficient; a subcover or glue certificate has the
+    subcover or the patch denominators as its gens.
+    """
+
+    f: RingElem
     m: int
     sos: SumOfSquares
-    cofactor: RingElem
-    ideal: Ideal
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("certificate exponent must be positive")
+    gens: tuple[RingElem, ...]
+    coeffs: tuple[RingElem, ...]
 
 
-def verify_certificate(cert: RealRadicalCertificate) -> bool:
+def verify_certificate(cert: Certificate) -> bool:
     """Re-expand the identity with ring arithmetic; no trust in the construction."""
-    ring = cert.ideal.ring
-    if cert.a.ring != ring or cert.cofactor.ring != ring:
-        raise RingMismatchError("certificate parts belong to different rings")
-    lhs = cert.a ** (2 * cert.m) + cert.sos.value_in(ring)
-    rhs = cert.cofactor * ring.elem(cert.ideal.gen)
-    return (lhs - rhs).is_zero()
+    rest = cert.f ** (2 * cert.m) + cert.sos.value_in(cert.f.ring)
+    for c, g in zip(cert.coeffs, cert.gens, strict=True):
+        rest = rest - c * g
+    return rest.is_zero()
 
 
 class CertificateStatus(Enum):
@@ -370,7 +345,7 @@ class CertificateStatus(Enum):
 @dataclass(frozen=True)
 class CertificateOutcome:
     status: CertificateStatus
-    certificate: Optional[RealRadicalCertificate] = None
+    certificate: Optional[Certificate] = None
 
     @property
     def found(self) -> bool:
@@ -574,7 +549,8 @@ def _squares(terms: Weighted) -> list[Poly]:
 
 def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     """Decide membership exactly and construct an explicit witness identity
-    a^(2m) + sum(s_i^2) = cofactor * gen for every member.
+    a^(2m) + sum(s_i^2) = cofactor * gen for every member: a `Certificate`
+    with f = a, the one gen ring.elem(gen) and the one coefficient cofactor.
 
     The witness is built per prime power p^e of gen, and the parts
     a^(2m_i) + S_i, each 0 mod its p^e, are multiplied together:
@@ -601,13 +577,10 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     gen = ideal.gen
     if a.is_zero() or gen.is_zero():
         # 0^(2m) = 0 * gen; and the zero ideal of Q[x] only contains a = 0
-        cert = RealRadicalCertificate(a, 1, SumOfSquares(), ring.zero(), ideal)
-        return _checked(cert)
+        return _checked(a, 1, SumOfSquares(), ring.zero(), gen)
     a_lift = a.rep
     if gen.is_one():
-        cofactor = ring.elem(a_lift * a_lift)
-        cert = RealRadicalCertificate(a, 1, SumOfSquares(), cofactor, ideal)
-        return _checked(cert)
+        return _checked(a, 1, SumOfSquares(), ring.elem(a_lift * a_lift), gen)
 
     gen_factors = factor(gen).factors
 
@@ -617,11 +590,7 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
         m = _least_even_power(gen_factors, a_lift)
         if m is None:
             raise AssertionError("membership guarantees divisibility by real factors")
-        v = a_lift ** (2 * m)
-        cert = RealRadicalCertificate(
-            a, m, SumOfSquares(), ring.elem(v // gen), ideal
-        )
-        return _checked(cert)
+        return _checked(a, m, SumOfSquares(), ring.elem(a_lift ** (2 * m) // gen), gen)
 
     parts: list[tuple[int, Weighted]] = []
     for p, e in gen_factors:
@@ -635,27 +604,38 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     for w, h in weighted:
         v = v + (h * h).scale(w)
     sos = SumOfSquares(tuple(ring.elem(t) for t in _squares(weighted)))
-    return _checked(RealRadicalCertificate(a, m, sos, ring.elem(v // gen), ideal))
+    return _checked(a, m, sos, ring.elem(v // gen), gen)
 
 
-def _checked(cert: RealRadicalCertificate) -> CertificateOutcome:
+def _checked(
+    a: RingElem, m: int, sos: SumOfSquares, cofactor: RingElem, gen: Poly
+) -> CertificateOutcome:
+    cert = Certificate(a, m, sos, (a.ring.elem(gen),), (cofactor,))
     if not verify_certificate(cert):
         raise AssertionError("internal error: constructed certificate failed to verify")
     return CertificateOutcome(CertificateStatus.FOUND, cert)
 
 
-def express_gen_as_multiple(ideal: Ideal, original: RingElem) -> RingElem:
-    """Return s with gen = s * original in the ring, for original generating the ideal.
-
-    In Q[x] this is the inverse leading coefficient; in a quotient it comes
-    from the extended Euclid identity gcd = s*lift + t*modulus.
+def combination_certificate(f: RingElem, gens: Sequence[RingElem]) -> Certificate:
+    """The certificate for f over a whole family: find_certificate's witness
+    f^(2m) + sos = cofactor * gen for the ideal the family generates, with
+    gen = sum(c_i * gens[i]) (plus a multiple of the modulus) spread by
+    `bezout_many`, so coeffs[i] = cofactor * c_i. Verified before it is
+    returned; f must lie in the real radical of that ideal.
     """
-    ring = ideal.ring
-    if not ring.is_quotient:
-        return ring.elem(Poly.const(Fraction(1) / original.rep.leading))
-    if original.is_zero():
-        return ring.one()  # gen is the modulus, which is 0 in the ring
-    g, s, _t = ext_gcd(original.rep, ring.modulus)
-    if g != ideal.gen:
-        raise DomainError("element does not generate the ideal")
-    return ring.elem(s)
+    ring = f.ring
+    gens = tuple(ring.elem(g) for g in gens)
+    ideal = ideal_sum(ring, gens)
+    cert = find_certificate(ideal, f).certificate
+    if cert is None:
+        raise DomainError("f is not in the real radical of the family's ideal")
+    lifts = [g.rep for g in gens] + ([ring.modulus] if ring.is_quotient else [])
+    gen, cs = bezout_many(lifts)
+    if gen != ideal.gen:
+        raise AssertionError("Bezout gcd disagrees with the canonical generator")
+    cofactor = cert.coeffs[0]
+    coeffs = tuple(cofactor * ring.elem(c) for c in cs[: len(gens)])
+    combined = Certificate(f, cert.m, cert.sos, gens, coeffs)
+    if not verify_certificate(combined):
+        raise AssertionError("internal error: combination certificate failed to verify")
+    return combined

@@ -5,8 +5,10 @@ A section over D(f) is stored as a finite cover by D(g_i) with local
 fractions a_i/g_i. The module gives exact equality decisions for both
 sides of the canonical map psi (localization to sections), the equalizing
 rewrite that makes g_i*a_j = g_j*a_i hold on the nose, and the gluing
-construction producing a single fraction plus a verifiable certificate
-sum(b_i*g_i) = f^(2k) + sum of squares.
+construction producing a single fraction. Its witness is the library's one
+`rings.Certificate`, the identity sum(b_i*g_i) = f^(2k) + sum of squares
+over the patch denominators, checked by the one `rings.verify_certificate`;
+`verify_glue` adds the closing identity g_i*a = den*a_i on every patch.
 """
 
 from __future__ import annotations
@@ -23,17 +25,15 @@ from .errors import (
     OutOfDomainError,
     RingMismatchError,
 )
-from .polynomials import bezout_many
 from .rings import (
+    Certificate,
     Ring,
     RingElem,
     SigmaDenominator,
-    SumOfSquares,
     annihilator,
-    express_gen_as_multiple,
-    find_certificate,
-    ideal_sum,
+    combination_certificate,
     real_radical_member,
+    verify_certificate,
 )
 from .spectrum import RealPrime, cover_check, prime_in, v_of
 
@@ -89,15 +89,6 @@ class SigmaFraction:
 
     def __str__(self) -> str:
         return f"{self.numerator} / {self.denominator.value()}"
-
-
-@dataclass(frozen=True)
-class GlueCertificate:
-    """Witness sum(coeffs[i] * g_i) = f^(2k) + sos over the section's patches."""
-
-    coeffs: tuple[RingElem, ...]
-    k: int
-    sos: SumOfSquares
 
 
 @dataclass(frozen=True)
@@ -189,25 +180,15 @@ def section_validate(s: Section) -> ValidationReport:
 # normalization of raw local data into denominator-on-patch form
 
 
-class NormalizeStatus(Enum):
-    FOUND = "found"
-
-
-@dataclass(frozen=True)
-class NormalizeOutcome:
-    status: NormalizeStatus
-    section: Section
-
-
 def normalize_basic(
     f: RingElem,
     raw: Sequence[tuple[RingElem, RingElem, RingElem]],
-) -> NormalizeOutcome:
+) -> Section:
     """Rewrite local data (h_i, b_i, f_i) with b_i/f_i on D(h_i) into patches
     whose denominator cuts out the patch itself.
 
     Requires D(h_i) within D(f_i) for each i and the h_i to cover D(f).
-    Each rewrite uses a witness h_i^(2n) + sos = u_i * f_i.
+    Each rewrite uses the one-generator certificate h_i^(2n) + sos = u_i * f_i.
     """
     ring = f.ring
     for h, _b, fi in raw:
@@ -219,18 +200,15 @@ def normalize_basic(
 
     patches: list[LocalFraction] = []
     for h, b, fi in raw:
-        di = ring.ideal(fi)
-        cert = find_certificate(di, h).certificate
-        # h^(2n) + sos = cofactor * gen and gen = s * f_i, so u = cofactor * s
-        u = cert.cofactor * express_gen_as_multiple(di, fi)
+        u = combination_certificate(h, [fi]).coeffs[0]
+        # b / f_i = u * b * h^2 / (h^2 * (h^(2n) + sos)) on D(h)
         h2 = h * h
-        sigma = h ** (2 * cert.m) + cert.sos.value_in(ring)
-        g = h2 * sigma
+        g = h2 * u * fi
         a = u * b * h2
         if v_of(ring.ideal(g)) != v_of(ring.ideal(h)):
             raise AssertionError("rewritten patch changed its basic open")
         patches.append(LocalFraction(a, g))
-    return NormalizeOutcome(NormalizeStatus.FOUND, Section(ring, f, tuple(patches)))
+    return Section(ring, f, tuple(patches))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +278,7 @@ class GlueStatus(Enum):
 class GlueOutcome:
     status: GlueStatus
     fraction: Optional[SigmaFraction] = None
-    certificate: Optional[GlueCertificate] = None
+    certificate: Optional[Certificate] = None
     equalized: Optional[Section] = None
 
     @property
@@ -314,8 +292,9 @@ def glue(s: Section) -> GlueOutcome:
     Always succeeds over real rings; over semi-real rings it runs in an
     experimental capacity and reports distinctly when the equalizing step is
     provably blocked. The section is validated once, here, and the
-    equalizing step relies on that check; `ideal_sum` gives the canonical
-    generator of the denominators' ideal.
+    equalizing step relies on that check. The certificate's gens are the
+    equalized denominators; `combination_certificate` has verified it, so
+    only the closing identity is checked here.
     """
     ring = s.ring
     if not section_validate(s).ok:
@@ -326,7 +305,7 @@ def glue(s: Section) -> GlueOutcome:
         p = s.patches[0]
         w = p.witness
         if w is not None and w.f == s.f and w.value() == p.denominator:
-            cert = GlueCertificate((ring.one(),), w.m, w.tail)
+            cert = Certificate(s.f, w.m, w.tail, (p.denominator,), (ring.one(),))
             return GlueOutcome(GlueStatus.GLUED, SigmaFraction(p.numerator, w), cert, s)
 
     try:
@@ -334,43 +313,29 @@ def glue(s: Section) -> GlueOutcome:
     except EqualizeBlockedError:
         return GlueOutcome(GlueStatus.BLOCKED)
 
-    gs = eq.denominators()
-    sum_ideal = ideal_sum(ring, gs)
-    cert = find_certificate(sum_ideal, s.f).certificate
-
-    lifts = [g.rep for g in gs]
-    if ring.is_quotient:
-        lifts.append(ring.modulus)
-    gen, cs = bezout_many(lifts)
-    if gen != sum_ideal.gen:
-        raise AssertionError("Bezout gcd disagrees with the canonical generator")
-    bs = tuple(cert.cofactor * ring.elem(c) for c in cs[: len(gs)])
-
-    den = SigmaDenominator(s.f, cert.m, cert.sos)
+    cert = combination_certificate(s.f, eq.denominators())
     num = ring.zero()
-    for b, p in zip(bs, eq.patches):
-        num = num + b * p.numerator
-    result = SigmaFraction(num, den)
-
-    glue_cert = GlueCertificate(bs, cert.m, cert.sos)
-    if not verify_glue(eq, result, glue_cert):
-        raise AssertionError("internal error: glue result failed verification")
-    return GlueOutcome(GlueStatus.GLUED, result, glue_cert, eq)
-
-
-def verify_glue(eq: Section, result: SigmaFraction, cert: GlueCertificate) -> bool:
-    """Certificate identity plus the closing identity g_j*a = den*a_j per patch."""
-    ring = eq.ring
-    lhs = ring.zero()
     for b, p in zip(cert.coeffs, eq.patches):
-        lhs = lhs + b * p.denominator
-    den = result.denominator.value()
-    if not (lhs - (eq.f ** (2 * cert.k) + cert.sos.value_in(ring))).is_zero():
+        num = num + b * p.numerator
+    result = SigmaFraction(num, SigmaDenominator(s.f, cert.m, cert.sos))
+    if not _closes(eq, result):
+        raise AssertionError("internal error: glue result failed verification")
+    return GlueOutcome(GlueStatus.GLUED, result, cert, eq)
+
+
+def verify_glue(eq: Section, result: SigmaFraction, cert: Certificate) -> bool:
+    """verify_certificate for a certificate over eq's denominators, plus the
+    closing identity g_j*a = den*a_j per patch."""
+    if cert.f != eq.f or cert.gens != tuple(eq.denominators()):
         return False
-    for p in eq.patches:
-        if not (p.denominator * result.numerator - den * p.numerator).is_zero():
-            return False
-    return True
+    return verify_certificate(cert) and _closes(eq, result)
+
+
+def _closes(eq: Section, result: SigmaFraction) -> bool:
+    den = result.denominator.value()
+    return all(
+        (p.denominator * result.numerator - den * p.numerator).is_zero() for p in eq.patches
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Topology of the real Zariski spectrum of Q[x] and its quotients.
 
 Real primes, canonical closed sets V(I) and their boolean algebra, basic
-opens D(f), exact cover decisions, and finite subcovers with verifiable
-combination certificates sum(a_j * f_j) = f^(2m) + sum of squares.
+opens D(f), exact cover decisions, and finite subcovers. A subcover's
+witness is the library's one `rings.Certificate`, the identity
+sum(coeffs[j] * gens[j]) = f^(2m) + sum of squares over the subcover's
+members, checked by the one `rings.verify_certificate`.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .errors import DomainError, NotACoverError, RingMismatchError
-from .polynomials import Poly, bezout_many, factor, has_real_root, is_irreducible, real_part
+from .polynomials import Poly, has_real_root, is_irreducible, real_part
 from .rings import (
+    Certificate,
     Ideal,
     Ring,
     RingElem,
-    SumOfSquares,
-    find_certificate,
+    combination_certificate,
     ideal_sum,
     real_radical,
     real_radical_member,
@@ -191,35 +193,12 @@ def cover_check(f: RingElem, fs: Sequence[RingElem]) -> bool:
 
 
 @dataclass(frozen=True)
-class SubcoverCertificate:
-    """Witness sum(coeffs[j] * covers[indices[j]]) = f^(2m) + sos, in the ring."""
-
-    f: RingElem
-    covers: tuple[RingElem, ...]
-    indices: tuple[int, ...]
-    coeffs: tuple[RingElem, ...]
-    m: int
-    sos: SumOfSquares
-
-
-def verify_subcover_certificate(cert: SubcoverCertificate) -> bool:
-    ring = cert.f.ring
-    lhs = ring.zero()
-    for j, idx in enumerate(cert.indices):
-        lhs = lhs + cert.coeffs[j] * cert.covers[idx]
-    rhs = cert.f ** (2 * cert.m) + cert.sos.value_in(ring)
-    return (lhs - rhs).is_zero()
-
-
-class SubcoverStatus(Enum):
-    FOUND = "found"
-
-
-@dataclass(frozen=True)
 class SubcoverOutcome:
+    """The kept indices into the family, and a certificate whose gens are
+    the family's members at those indices, in order."""
+
     indices: tuple[int, ...]
-    status: SubcoverStatus
-    certificate: SubcoverCertificate
+    certificate: Certificate
 
 
 def finite_subcover(f: RingElem, fs: Sequence[RingElem]) -> SubcoverOutcome:
@@ -228,7 +207,7 @@ def finite_subcover(f: RingElem, fs: Sequence[RingElem]) -> SubcoverOutcome:
     Greedy: grow left to right until the subset's gcd real part matches the
     full family's, then prune indices whose removal keeps it unchanged. The
     combination certificate comes from Bezout coefficients scaled by a real
-    radical certificate for f.
+    radical certificate for f (`combination_certificate`).
     """
     ring = f.ring
     if not cover_check(f, fs):
@@ -251,22 +230,7 @@ def finite_subcover(f: RingElem, fs: Sequence[RingElem]) -> SubcoverOutcome:
         if _radical_gen(ideal_sum(ring, [fs[j] for j in rest])) == target:
             kept = rest
 
-    subset = [fs[j] for j in kept]
-    sub_ideal = ideal_sum(ring, subset)
-    cert = find_certificate(sub_ideal, f).certificate
-    lifts = [g.rep for g in subset]
-    if ring.is_quotient:
-        lifts = lifts + [ring.modulus]
-    gen, cs = bezout_many(lifts) if lifts else (Poly.zero(), [])
-    if lifts and gen != sub_ideal.gen:
-        raise AssertionError("Bezout gcd disagrees with the canonical generator")
-    coeffs = tuple(cert.cofactor * ring.elem(c) for c in cs[: len(subset)])
-    sub_cert = SubcoverCertificate(
-        f, tuple(fs), tuple(kept), coeffs, cert.m, cert.sos
-    )
-    if not verify_subcover_certificate(sub_cert):
-        raise AssertionError("internal error: subcover certificate failed to verify")
-    return SubcoverOutcome(tuple(kept), SubcoverStatus.FOUND, sub_cert)
+    return SubcoverOutcome(tuple(kept), combination_certificate(f, [fs[j] for j in kept]))
 
 
 def _radical_gen(ideal: Ideal) -> Optional[Poly]:

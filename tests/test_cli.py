@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import io
 import json
@@ -76,6 +77,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "sturm", "(x+1)^1024")
         assert (code, out) == (2, "")
         assert "column 7" in err
+
+    def test_product_size_budget(self, capsys):
+        # each power is within budget, their product is not
+        code, out, err = run(capsys, "sturm", "(x+1)^1023*(x+1)^1023")
+        assert (code, out) == (2, "")
+        assert "column 11" in err and "product has size" in err
 
     def test_precondition_violation(self, capsys):
         code, _, err = run(capsys, "subcover", "--f", "x^2-1", "x+2")
@@ -274,6 +281,16 @@ class TestCertificates:
         assert (code, out.strip()) == (0, "verified: false")
 
 
+def _certify_corpus(seed: int) -> list[dict]:
+    """The first three batches of the benchmark's certify corpus for a seed;
+    the known hard members take turns, one per batch."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    batches = workloads.certify_batches(seed)
+    return [item for _ in range(3) for item in next(batches)]
+
+
 _CERT_COMMANDS = {
     "real-radical": ["cert", "find", "--json", "x^2+1", "1"],
     "subcover": ["subcover", "--json", "--f", "x^2-1", "x-1", "x+1", "x"],
@@ -423,27 +440,83 @@ class TestExponentBudget:
     def test_certify_corpus_within_budget(self, capsys, monkeypatch):
         """Every document of the benchmark's certify corpus stays under the
         budget and verifies; exit 4 comes only from a blocked glue."""
-        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
         documents = 0
         for seed in (0, 1):
-            batches = workloads.certify_batches(seed)
-            for _ in range(3):  # the known hard members take turns, one per batch
-                for item in next(batches):
-                    code, out, _ = run(capsys, *item["argv"])
-                    doc = json.loads(out)
-                    if code == 4:
-                        assert doc == {"kind": "glue", "status": "blocked"}
-                        continue
-                    assert code == 0
-                    if doc.get("member") is False:
-                        continue
-                    documents += 1
-                    assert _power_degree(doc) <= MAX_POWER_DEGREE
-                    monkeypatch.setattr("sys.stdin", io.StringIO(out))
-                    assert run(capsys, "cert", "verify")[:2] == (0, "verified: true\n")
+            for item in _certify_corpus(seed):
+                code, out, _ = run(capsys, *item["argv"])
+                doc = json.loads(out)
+                if code == 4:
+                    assert doc == {"kind": "glue", "status": "blocked"}
+                    continue
+                assert code == 0
+                if doc.get("member") is False:
+                    continue
+                documents += 1
+                assert _power_degree(doc) <= MAX_POWER_DEGREE
+                monkeypatch.setattr("sys.stdin", io.StringIO(out))
+                assert run(capsys, "cert", "verify")[:2] == (0, "verified: true\n")
         assert documents > 60
+
+
+# sha256 over every (argv, exit code, stdout, stderr) of the certify corpus
+# for seeds 0-2: each command with and without --json, then `cert verify` of
+# each document it emitted; pinned so that refactors of the certificate
+# layer cannot change a byte of output
+CERTIFY_CORPUS_SHA256 = "445b5fea97d67ecde247efdd533e9d029c0b6f73125189625efc82f483231158"
+RUNS = 387
+
+
+class TestPinnedOutput:
+    def test_certify_corpus_is_pinned(self, capsys, monkeypatch):
+        digest, runs = hashlib.sha256(), 0
+
+        def record(argv):
+            nonlocal runs
+            code, out, err = run(capsys, *argv)
+            digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
+            runs += 1
+            return code, out
+
+        for seed in (0, 1, 2):
+            for item in _certify_corpus(seed):
+                code, out = record(item["argv"])
+                record([a for a in item["argv"] if a != "--json"])
+                if code == 0 and "member" not in json.loads(out):
+                    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+                    record(["cert", "verify", "-"])
+        assert runs == RUNS
+        assert digest.hexdigest() == CERTIFY_CORPUS_SHA256
+
+    @pytest.mark.parametrize(
+        "kind, key, zero, minus_one",
+        [
+            ("real-radical", "m", None, None),  # None: exit 3
+            ("subcover", "m", "verified: false", None),
+            ("glue", "k", "verified: true", None),  # f = 1, so 1^(2k) = 1 for every k
+        ],
+    )
+    def test_exponent_zero_and_negative(self, capsys, tmp_path, kind, key, zero, minus_one):
+        code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
+        doc = json.loads(out)
+        for value, expected in ((0, zero), (-1, minus_one)):
+            doc[key] = value
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "cert", "verify", str(path))
+            if expected is None:
+                assert (code, out) == (3, "") and err.startswith("error: ")
+            else:
+                assert (code, out, err) == (0, expected + "\n", "")
+
+    def test_zero_ideal_in_quotient_prints_modulus(self, capsys):
+        argv = ["cert", "find", "--json", "--ring", "Q[x]/(x^2*(x^2+1))", "0", "x"]
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        # the zero ideal's generator is the modulus, which is 0 as a ring element
+        assert code == 0 and doc == {
+            "kind": "real-radical", "ring": "Q[x]/(x^4 + x^2)", "ideal": "x^4 + x^2",
+            "element": "x", "m": 2, "sos": ["x"], "cofactor": "1",
+        }
 
 
 class TestExplore:

@@ -75,6 +75,25 @@ class TestParse:
             assert err.value.column == column
             assert "size" in str(err.value)
 
+    def test_product_size_budget(self):
+        # a product p*q is held to the same degree and size budget as a power,
+        # before it is expanded; the error points at the '*'
+        assert parse_poly("(x+1)^511*(x+1)^512").coefficient(512) == math.comb(1023, 512)
+        assert parse_poly("(1/2*x+1/2)^511*(x+1)^512").degree == 1023
+        assert parse_poly("x^65535*x") == Poly.monomial(1, MAX_EXPONENT)
+        # a product of monomials counts its coefficient bits only: 2^20 at the limit
+        assert parse_poly("(2)^65536*" * 15 + "(2)^65536") == Poly.const(2 ** (1 << 20))
+        for text, column, what in (
+            ("(x+1)^512*(x+1)^512", 10, "size"),
+            ("(1/3*x+1/3)^511*(x+1)^512", 16, "size"),  # the denominator counts too
+            ("(2)^65536*" * 16 + "(2)^65536", 160, "size"),
+            ("x^65536*x", 8, "degree"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert err.value.column == column
+            assert f"product has {what}" in str(err.value)
+
     def test_error_columns(self):
         with pytest.raises(ParseError) as err:
             parse_poly("x + ")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,27 +6,25 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from realspec import (
+    Certificate,
     CertificateStatus,
     DomainError,
     Poly,
-    RealRadicalCertificate,
     Ring,
     RingKind,
     RingMismatchError,
     SigmaDenominator,
     SumOfSquares,
     annihilator,
-    classify,
     enumerate_primes,
     find_certificate,
-    make_ring,
     real_radical,
     real_radical_member,
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
 from realspec.polynomials import is_irreducible, lcm, real_part
-from realspec.rings import RingElem, ideal_sum
+from realspec.rings import RingElem, combination_certificate, ideal_sum
 
 from helpers import (
     from_sympy,
@@ -70,8 +69,8 @@ def quot(text):
 
 
 class TestRingConstruction:
-    def test_make_ring(self):
-        assert make_ring(RingKind.BASE) == BASE
+    def test_ring_constructor(self):
+        assert Ring(RingKind.BASE) == BASE
         assert quot("x^2-x").is_real
         r = quot("x^2")
         assert not r.is_real and r.is_semireal
@@ -83,6 +82,9 @@ class TestRingConstruction:
             Ring.quotient(P("5"))
 
     def test_classify_examples(self):
+        def classify(ring):
+            return ring.is_real, ring.is_semireal
+
         assert classify(quot("x^2+1")) == (False, False)
         assert classify(quot("(x-1)*(x+2)")) == (True, True)
         assert classify(quot("x^2*(x-1)")) == (False, True)
@@ -92,8 +94,7 @@ class TestRingConstruction:
         rng = random.Random(3)
         for _ in range(100):
             ring = Ring.quotient(random_structured_poly(rng, 3, 8).monic())
-            is_real, is_semi = classify(ring)
-            assert not is_real or is_semi
+            assert not ring.is_real or ring.is_semireal
 
     def test_elem_reduction(self):
         r = quot("x^2-x")
@@ -300,16 +301,17 @@ class TestCertificates:
         out = find_certificate(BASE.ideal(P("x^2+1")), BASE.one())
         assert out.status is CertificateStatus.FOUND
         c = out.certificate
-        assert c.m == 1
+        assert c.m == 1 and c.f == BASE.one()
         assert [t.rep for t in c.sos.terms] == [P("x")]
-        assert c.cofactor.rep == Poly.one()
+        assert [g.rep for g in c.gens] == [P("x^2+1")]
+        assert [k.rep for k in c.coeffs] == [Poly.one()]
         assert verify_certificate(c)
 
     def test_fast_path_certificate(self):
         out = find_certificate(BASE.ideal(P("x^2")), BASE.elem(P("x")))
         assert out.found
         c = out.certificate
-        assert c.m == 1 and c.sos.terms == () and c.cofactor.rep == Poly.one()
+        assert c.m == 1 and c.sos.terms == () and [k.rep for k in c.coeffs] == [Poly.one()]
         assert verify_certificate(c)
 
     def test_not_member(self):
@@ -320,7 +322,7 @@ class TestCertificates:
     def test_broken_certificate_rejected(self):
         out = find_certificate(BASE.ideal(P("x^2+1")), BASE.one())
         c = out.certificate
-        broken = RealRadicalCertificate(c.a, c.m, c.sos, BASE.elem(P("2")), c.ideal)
+        broken = Certificate(c.f, c.m, c.sos, c.gens, (BASE.elem(P("2")),))
         assert not verify_certificate(broken)
 
     def test_quotient_degenerate(self):
@@ -399,13 +401,57 @@ class TestCertificates:
         assert verify_certificate(out.certificate)
 
 
+small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(Poly)
+
+
+@st.composite
+def covered_families(draw):
+    """(f, gens) over Q[x] or Q[x]/(m), m monic of degree 1..5, with 1..4
+    generators of degree <= 4, not all zero in Q[x], and f a multiple of the
+    real radical of the ideal they generate."""
+    if draw(st.booleans()):
+        ring = BASE
+    else:
+        lower = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5))
+        ring = Ring.quotient(Poly(lower + [1]))
+    gens = [ring.elem(p) for p in draw(st.lists(small_polys, min_size=1, max_size=4))]
+    assume(ring.is_quotient or any(not g.is_zero() for g in gens))
+    f = ring.elem(real_radical(ideal_sum(ring, gens)).gen * draw(small_polys))
+    return f, gens
+
+
+class TestCombinationCertificate:
+    @given(covered_families())
+    @settings(max_examples=80, deadline=None)
+    def test_verifies_and_one_changed_coefficient_fails(self, case):
+        f, gens = case
+        cert = combination_certificate(f, gens)
+        assert (cert.f, cert.gens) == (f, tuple(gens))
+        assert verify_certificate(cert)
+        nonzero = [i for i, g in enumerate(gens) if not g.is_zero()]
+        assume(nonzero)
+        coeffs = list(cert.coeffs)
+        coeffs[nonzero[0]] = coeffs[nonzero[0]] + f.ring.one()
+        assert not verify_certificate(dataclasses.replace(cert, coeffs=tuple(coeffs)))
+
+    def test_not_a_member(self):
+        with pytest.raises(DomainError):
+            combination_certificate(BASE.elem(P("x")), [BASE.elem(P("x-1"))])
+
+    def test_one_generator_is_the_real_radical_certificate(self):
+        # with one generator f_i the coefficient is the u with h^(2m) + sos = u * f_i
+        h, fi = BASE.elem(P("x")), BASE.elem(P("2*x^2"))
+        cert = combination_certificate(h, [fi])
+        assert cert.m == 1 and cert.sos.terms == ()
+        assert cert.coeffs == (BASE.elem(P("1/2")),)
+
+
 class TestSigmaDenominator:
     def test_value(self):
         ring = quot("x^2-x")
         f = ring.one()
         den = SigmaDenominator(f, 2, SumOfSquares((ring.elem(P("x")),)))
         assert den.value() == ring.elem(P("1+x^2"))
-        assert den.lift_value() == P("1+x^2")
 
     def test_zero_f_rejected(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from realspec import (
     SigmaDenominator,
     SigmaFraction,
     SumOfSquares,
-    NormalizeStatus,
     enumerate_primes,
     equalize,
     glue,
@@ -26,6 +26,8 @@ from realspec import (
     sigma_eq,
     stalk_at,
     stalk_eq,
+    verify_certificate,
+    verify_glue,
 )
 from realspec.parsing import parse_poly as P
 
@@ -121,8 +123,7 @@ class TestNormalizeBasic:
         out = normalize_basic(
             BASE.elem(P("x")), [(BASE.elem(P("x")), BASE.one(), BASE.elem(P("x^2")))]
         )
-        assert out.status is NormalizeStatus.FOUND
-        patch = out.section.patches[0]
+        patch = out.patches[0]
         assert patch.denominator == BASE.elem(P("x^4"))
         assert patch.numerator == BASE.elem(P("x^2"))
 
@@ -131,8 +132,7 @@ class TestNormalizeBasic:
         ring = quot("x^2-x")
         x = ring.elem(P("x"))
         out = normalize_basic(x, [(x, x, x)])
-        assert out.status is NormalizeStatus.FOUND
-        patch = out.section.patches[0]
+        patch = out.patches[0]
         assert patch.denominator == ring.elem(P("x"))
         assert patch.numerator == ring.elem(P("x"))
 
@@ -149,8 +149,7 @@ class TestNormalizeBasic:
         out = normalize_basic(
             BASE.elem(P("x")), [(BASE.elem(P("x")), BASE.one(), BASE.elem(P("x^2+1")))]
         )
-        assert out.status is NormalizeStatus.FOUND
-        patch = out.section.patches[0]
+        patch = out.patches[0]
         assert patch.denominator == BASE.elem(P("x^2*(x^2+1)"))
         assert patch.numerator == BASE.elem(P("x^2"))
 
@@ -236,6 +235,20 @@ class TestGlue:
         # a cover of D(1), but the two patches differ at both real primes
         with pytest.raises(NotASectionError):
             glue(section(quot("x^2-x"), "1", [("1", "1"), ("1", "0")]))
+
+    def test_verify_glue(self):
+        ring, f, patches = WORKED
+        out = glue(section(ring, f, patches))
+        eq, frac, cert = out.equalized, out.fraction, out.certificate
+        assert cert.gens == tuple(eq.denominators())
+        assert verify_glue(eq, frac, cert)
+        # a valid certificate over other generators, a changed coefficient, another numerator
+        other = dataclasses.replace(cert, gens=(ring.one(),), coeffs=(ring.one(),))
+        assert verify_certificate(other) and not verify_glue(eq, frac, other)
+        changed = dataclasses.replace(cert, coeffs=(cert.coeffs[0] + ring.one(), cert.coeffs[1]))
+        assert not verify_glue(eq, frac, changed)
+        other_num = SigmaFraction(frac.numerator + ring.one(), frac.denominator)
+        assert not verify_glue(eq, other_num, cert)
 
     def test_closing_identity(self):
         ring, f, patches = WORKED
