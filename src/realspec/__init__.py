@@ -33,7 +33,6 @@ from .rings import (
     Ideal,
     Ring,
     RingElem,
-    RingKind,
     SigmaDenominator,
     SumOfSquares,
     annihilator,
@@ -44,9 +43,7 @@ from .rings import (
     verify_certificate,
 )
 from .spectrum import (
-    BasicOpen,
     ClosedSet,
-    PrimeKind,
     RealPrime,
     SubcoverOutcome,
     closed_intersect,
@@ -77,6 +74,6 @@ from .sheaves import (
     stalk_eq,
     verify_glue,
 )
-from .parsing import parse_poly, parse_ring, poly_to_str
+from .parsing import parse_poly, parse_ring
 
 __version__ = "0.1.0"

@@ -1,12 +1,17 @@
 """Command line interface.
 
 Every operation of the library is reachable as a subcommand; structured
-output is available through --json. Certificate-producing commands emit
-JSON documents that `cert verify` re-checks from the document alone. The
-three document kinds (real-radical, subcover, glue) keep their own keys,
-but each is read into the one `rings.Certificate` identity
-sum(coeffs[i] * gens[i]) = f^(2m) + sum of squares and checked by the one
-`rings.verify_certificate` (a glue document also by its closing identity).
+output is available through --json. A command takes only the flags it
+reads: --ring where it works in a ring, --seed on explore-question alone.
+Certificate-producing commands emit JSON documents that `cert verify`
+re-checks from the document alone. The three document kinds (real-radical,
+subcover, glue) keep their own keys, but each is read into the one
+`rings.Certificate` identity sum(coeffs[i] * gens[i]) = f^(2m) + sum of
+squares and checked by the one `rings.verify_certificate` (a glue document
+also by its closing identity).
+
+A document exponent is held to 0 <= m and the budgets below by one check,
+`_checked_power`, for every kind.
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition violation,
 4 glue blocked (`section glue` found no equalizing exponent).
@@ -80,15 +85,11 @@ MAX_POWER_DEGREE = 128
 MAX_POWER_BITS = 2048
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ring", default="Q[x]", help='ring, "Q[x]" or "Q[x]/(<poly>)"')
-    p.add_argument("--json", action="store_true", help="emit one JSON document")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
-
-
 def _checked_power(base, m: int) -> int:
-    """m, after checking that base^(2m) stays within MAX_POWER_DEGREE and
-    MAX_POWER_BITS."""
+    """m, after checking that it is nonnegative and that base^(2m) stays
+    within MAX_POWER_DEGREE and MAX_POWER_BITS."""
+    if m < 0:
+        raise DomainError(f"exponent {m} is negative")
     if 2 * m * max(base.rep.degree, 1) > MAX_POWER_DEGREE:
         raise InputError(
             f"exponent {m} makes ({base})^(2*{m}) exceed degree {MAX_POWER_DEGREE}"
@@ -164,8 +165,6 @@ def _verify_cert_doc(doc) -> bool:
         m = _checked_power(f, _doc_value(doc, "m", int))
         coeffs = (_doc_elem(ring, doc, "cofactor"),)
         gens = (ring.elem(ring.ideal(parse_poly(_doc_value(doc, "ideal", str))).gen),)
-        if m < 1:
-            raise DomainError("certificate exponent must be positive")
     elif kind == "subcover":
         covers = _doc_elems(ring, doc, "covers")
         indices = _doc_value(doc, "indices", list, int)
@@ -364,10 +363,7 @@ def _cmd_section_stalk(args):
     ring = _ring(args)
     section = _section_from_args(args, ring)
     gen = parse_poly(args.prime)
-    if gen.is_zero():
-        prime = RealPrime.zero(ring)
-    else:
-        prime = RealPrime.principal(ring, gen.monic())
+    prime = RealPrime(ring, gen if gen.is_zero() else gen.monic())
     germ = stalk_at(section, prime)
     payload = {
         "numerator": str(germ.numerator),
@@ -418,22 +414,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _common_flags(p)
+    def add(name: str, handler, ring: bool = True, within=sub, **kwargs):
+        """A command with --json, and with --ring if it reads a ring; no
+        abbreviations, so --ring is never read as explore-question's --rings."""
+        p = within.add_parser(name, allow_abbrev=False, **kwargs)
+        p.add_argument("--json", action="store_true", help="emit one JSON document")
+        if ring:
+            p.add_argument("--ring", default="Q[x]", help='ring, "Q[x]" or "Q[x]/(<poly>)"')
         p.set_defaults(handler=handler)
         return p
 
-    p = add("factor", _cmd_factor, help="factor a polynomial over Q")
+    p = add("factor", _cmd_factor, ring=False, help="factor a polynomial over Q")
     p.add_argument("poly")
 
-    p = add("real-part", _cmd_real_part, help="real part of a polynomial")
+    p = add("real-part", _cmd_real_part, ring=False, help="real part of a polynomial")
     p.add_argument("poly")
 
     p = add("real-radical", _cmd_real_radical, help="real radical of a principal ideal")
     p.add_argument("poly")
 
-    p = add("sturm", _cmd_sturm, help="count distinct real roots")
+    p = add("sturm", _cmd_sturm, ring=False, help="count distinct real roots")
     p.add_argument("poly")
 
     add("classify", _cmd_classify, help="reality and semi-reality of the ring")
@@ -454,15 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cert", help="real radical certificates")
     cert_sub = p.add_subparsers(dest="cert_command", required=True)
-    pf = cert_sub.add_parser("find")
-    _common_flags(pf)
-    pf.add_argument("ideal")
-    pf.add_argument("element")
-    pf.set_defaults(handler=_cmd_cert_find)
-    pv = cert_sub.add_parser("verify")
-    _common_flags(pv)
-    pv.add_argument("file", nargs="?", default="-")
-    pv.set_defaults(handler=_cmd_cert_verify)
+    p = add("find", _cmd_cert_find, within=cert_sub)
+    p.add_argument("ideal")
+    p.add_argument("element")
+    p = add("verify", _cmd_cert_verify, ring=False, within=cert_sub)
+    p.add_argument("file", nargs="?", default="-")
 
     p = sub.add_parser("section", help="operations on sections")
     sec_sub = p.add_subparsers(dest="section_command", required=True)
@@ -472,15 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("eq", _cmd_section_eq),
         ("stalk", _cmd_section_stalk),
     ]:
-        ps = sec_sub.add_parser(name)
-        _common_flags(ps)
-        ps.add_argument("--f", required=True)
-        ps.add_argument("--patch", action="append", required=True)
+        p = add(name, handler, within=sec_sub)
+        p.add_argument("--f", required=True)
+        p.add_argument("--patch", action="append", required=True)
         if name == "eq":
-            ps.add_argument("--other", action="append", required=True)
+            p.add_argument("--other", action="append", required=True)
         if name == "stalk":
-            ps.add_argument("--prime", required=True)
-        ps.set_defaults(handler=handler)
+            p.add_argument("--prime", required=True)
 
     p = add("sigma-eq", _cmd_sigma_eq, help="equality in the localization")
     p.add_argument("--f", required=True)
@@ -491,7 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=int, default=0)
     p.add_argument("--sos2", default="")
 
-    p = add("explore-question", _cmd_explore, help="sampling harness over semi-real rings")
+    p = add(
+        "explore-question", _cmd_explore, ring=False, help="sampling harness over semi-real rings"
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed for sampling")
     p.add_argument("--rings", type=int, default=50)
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--deg-min", type=int, default=2, dest="deg_min")

@@ -1,5 +1,8 @@
 """The ring layer: Q[x] and quotients Q[x]/(m).
 
+A ring is Q[x]/(m) for one modulus m, and Q[x] is the quotient by m = 0:
+elements are reduced mod m when m != 0, and the canonical generator of
+every ideal divides m (zero divides only zero), so the zero ideal is (m).
 Principal ideals in canonical form, annihilators, reality / semi-reality
 classification, and real radicals with witness certificates. Every
 certificate of the library is one `Certificate`, standing for the one
@@ -39,44 +42,40 @@ from .polynomials import (
 ElemLike = Union["RingElem", Poly, Fraction, int]
 
 
-class RingKind(Enum):
-    BASE = "base"
-    QUOTIENT = "quotient"
-
-
 @dataclass(frozen=True)
 class Ring:
-    """Q[x] (BASE) or Q[x]/(modulus) (QUOTIENT, modulus monic of degree >= 1)."""
+    """Q[x]/(modulus): modulus 0 is Q[x] itself, the quotient by the zero
+    ideal; any other modulus is monic of degree >= 1."""
 
-    kind: RingKind
-    modulus: Optional[Poly] = None
+    modulus: Poly
 
     def __post_init__(self):
-        if self.kind is RingKind.BASE:
-            if self.modulus is not None:
-                raise DomainError("base ring takes no modulus")
-        else:
-            m = self.modulus
-            if m is None or m.is_constant():
-                raise DomainError("quotient modulus must have degree >= 1")
-            if m.leading != 1:
-                raise DomainError("quotient modulus must be monic")
+        m = self.modulus
+        if m.is_zero():
+            return
+        if m.is_constant():
+            raise DomainError("quotient modulus must have degree >= 1")
+        if m.leading != 1:
+            raise DomainError("quotient modulus must be monic")
 
     @staticmethod
     def rationals() -> "Ring":
-        return Ring(RingKind.BASE)
+        return Ring(Poly.zero())
 
     @staticmethod
     def quotient(modulus: Poly) -> "Ring":
-        return Ring(RingKind.QUOTIENT, modulus)
+        """Q[x]/(modulus) for a proper modulus; 0 is refused here."""
+        if modulus.is_zero():
+            raise DomainError("quotient modulus must have degree >= 1")
+        return Ring(modulus)
 
-    @property
+    @cached_property
     def is_quotient(self) -> bool:
-        return self.kind is RingKind.QUOTIENT
+        """Whether elements are reduced, decided once per ring."""
+        return not self.modulus.is_zero()
 
     @cached_property
     def modulus_factors(self) -> Factorization:
-        assert self.modulus is not None
         return factor(self.modulus)
 
     @cached_property
@@ -180,18 +179,11 @@ class Ideal:
     gen: Poly
 
     def is_zero(self) -> bool:
-        if self.ring.is_quotient:
-            return self.gen == self.ring.modulus
-        return self.gen.is_zero()
-
-    def is_unit(self) -> bool:
-        return self.gen.is_one()
+        return self.gen == self.ring.modulus
 
     def contains(self, a: RingElem) -> bool:
         if a.ring != self.ring:
             raise RingMismatchError("element belongs to a different ring")
-        if self.gen.is_zero():
-            return a.is_zero()
         return self.gen.divides(a.rep)
 
     def product(self, other: "Ideal") -> "Ideal":
@@ -212,12 +204,12 @@ def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
     """The ideal the family generates, in canonical form; every canonical
     generator is made here.
 
-    BASE: the monic gcd of the lifts, 0 for the zero ideal. QUOTIENT: the
-    monic gcd of the lifts and the modulus, so the generator always divides
-    the modulus and the zero ideal is the modulus itself. One gcd per
-    nonzero lift, folded into an accumulator that starts at the zero ideal.
+    The monic gcd of the lifts and the modulus, so the generator always
+    divides the modulus and the zero ideal is the modulus itself (0 in Q[x]).
+    One gcd per nonzero lift, folded into an accumulator that starts at the
+    zero ideal.
     """
-    acc = ring.modulus if ring.is_quotient else Poly.zero()
+    acc = ring.modulus
     for g in gens:
         if isinstance(g, RingElem):
             if g.ring != ring:
@@ -273,13 +265,12 @@ class SigmaDenominator:
 
 
 def annihilator(z: RingElem) -> Ideal:
-    """Ann(z); the whole ring for z = 0, the zero ideal for z != 0 in Q[x]."""
+    """Ann(z) = (m / gcd(m, z)); the whole ring for z = 0, the zero ideal for
+    z != 0 in Q[x] (m = 0)."""
     ring = z.ring
-    if not ring.is_quotient:
-        return ring.unit_ideal() if z.is_zero() else ring.zero_ideal()
-    m = ring.modulus
     if z.is_zero():
         return ring.unit_ideal()
+    m = ring.modulus
     return ring.ideal(m // gcd(m, z.rep))
 
 
@@ -619,7 +610,7 @@ def _checked(
 def combination_certificate(f: RingElem, gens: Sequence[RingElem]) -> Certificate:
     """The certificate for f over a whole family: find_certificate's witness
     f^(2m) + sos = cofactor * gen for the ideal the family generates, with
-    gen = sum(c_i * gens[i]) (plus a multiple of the modulus) spread by
+    gen = sum(c_i * gens[i]) plus a multiple of the modulus, spread by
     `bezout_many`, so coeffs[i] = cofactor * c_i. Verified before it is
     returned; f must lie in the real radical of that ideal.
     """
@@ -629,8 +620,7 @@ def combination_certificate(f: RingElem, gens: Sequence[RingElem]) -> Certificat
     cert = find_certificate(ideal, f).certificate
     if cert is None:
         raise DomainError("f is not in the real radical of the family's ideal")
-    lifts = [g.rep for g in gens] + ([ring.modulus] if ring.is_quotient else [])
-    gen, cs = bezout_many(lifts)
+    gen, cs = bezout_many([g.rep for g in gens] + [ring.modulus])
     if gen != ideal.gen:
         raise AssertionError("Bezout gcd disagrees with the canonical generator")
     cofactor = cert.coeffs[0]

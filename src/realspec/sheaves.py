@@ -13,7 +13,7 @@ over the patch denominators, checked by the one `rings.verify_certificate`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -35,7 +35,7 @@ from .rings import (
     real_radical_member,
     verify_certificate,
 )
-from .spectrum import RealPrime, cover_check, prime_in, v_of
+from .spectrum import RealPrime, cover_check, v_of
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class LocalFraction:
 
     numerator: RingElem
     denominator: RingElem
-    witness: Optional[SigmaDenominator] = None
+    witness: Optional[SigmaDenominator] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.numerator} / {self.denominator}"
@@ -236,8 +236,9 @@ def _equalize_exponent(s: Section, limit: int) -> Optional[int]:
 
 def _equalize_limit(ring: Ring) -> int:
     # complete in quotients: solvable pairs need exponent at most deg(modulus);
-    # the base ring is a domain, so valid sections have zero cross terms
-    return int(ring.modulus.degree) if ring.is_quotient else 1
+    # Q[x] (modulus 0, degree -inf) is a domain, so valid sections have zero
+    # cross terms and the bound is 1
+    return int(max(ring.modulus.degree, 1))
 
 
 def equalize(s: Section) -> Section:
@@ -346,7 +347,7 @@ def stalk_at(s: Section, p: RealPrime) -> StalkElement:
     """Germ of the section at a prime of its domain."""
     if p.ring != s.ring:
         raise RingMismatchError("prime belongs to a different ring")
-    if prime_in(p, v_of(s.ring.ideal(s.f))):
+    if p.contains(s.f):
         raise OutOfDomainError("prime lies outside D(f)")
     for patch in s.patches:
         if not p.contains(patch.denominator):

@@ -1,17 +1,19 @@
 """Topology of the real Zariski spectrum of Q[x] and its quotients.
 
 Real primes, canonical closed sets V(I) and their boolean algebra, basic
-opens D(f), exact cover decisions, and finite subcovers. A subcover's
-witness is the library's one `rings.Certificate`, the identity
-sum(coeffs[j] * gens[j]) = f^(2m) + sum of squares over the subcover's
-members, checked by the one `rings.verify_certificate`.
+opens D(f), exact cover decisions, and finite subcovers. A real prime is
+(gen): gen 0 for the zero prime of Q[x] (the quotient by 0), otherwise a
+real-rooted irreducible dividing the modulus, and it contains x exactly
+when gen divides x. That one test decides elements, ideals and closed
+sets alike. A subcover's witness is the library's one `rings.Certificate`,
+the identity sum(coeffs[j] * gens[j]) = f^(2m) + sum of squares over the
+subcover's members, checked by the one `rings.verify_certificate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DomainError, NotACoverError, RingMismatchError
 from .polynomials import Poly, has_real_root, is_irreducible, real_part
@@ -27,58 +29,44 @@ from .rings import (
 )
 
 
-class PrimeKind(Enum):
-    ZERO = "zero"
-    PRINCIPAL = "principal"
-
-
 @dataclass(frozen=True)
 class RealPrime:
-    """A real prime ideal: (0) in Q[x], or (p) for real-rooted irreducible p."""
+    """A real prime ideal (gen): gen 0 is the zero prime of Q[x], any other
+    gen a monic irreducible real-rooted divisor of the modulus. The prime
+    contains x exactly when gen divides x."""
 
     ring: Ring
-    kind: PrimeKind
-    gen: Optional[Poly] = None
+    gen: Poly
 
     def __post_init__(self):
-        if self.kind is PrimeKind.ZERO:
+        g = self.gen
+        if g.is_zero():
             if self.ring.is_quotient:
                 raise DomainError("the zero ideal is prime only in Q[x]")
-            if self.gen is not None:
-                raise DomainError("zero prime carries no generator")
             return
-        g = self.gen
-        if g is None or not is_irreducible(g) or g.leading != 1:
+        if not is_irreducible(g) or g.leading != 1:
             raise DomainError("principal real prime needs a monic irreducible generator")
         if not has_real_root(g):
             raise DomainError("generator has no real root, so the prime is not real")
-        if self.ring.is_quotient and not g.divides(self.ring.modulus):
+        if not g.divides(self.ring.modulus):
             raise DomainError("prime generator must divide the modulus")
 
     @staticmethod
     def zero(ring: Ring) -> "RealPrime":
-        return RealPrime(ring, PrimeKind.ZERO)
-
-    @staticmethod
-    def principal(ring: Ring, gen: Poly) -> "RealPrime":
-        return RealPrime(ring, PrimeKind.PRINCIPAL, gen)
+        return RealPrime(ring, Poly.zero())
 
     def contains(self, a: RingElem) -> bool:
         if a.ring != self.ring:
             raise RingMismatchError("element belongs to a different ring")
-        if self.kind is PrimeKind.ZERO:
-            return a.is_zero()
         return self.gen.divides(a.rep)
 
     def contains_ideal(self, ideal: Ideal) -> bool:
         if ideal.ring != self.ring:
             raise RingMismatchError("ideal belongs to a different ring")
-        if self.kind is PrimeKind.ZERO:
-            return ideal.gen.is_zero()
-        return ideal.gen.is_zero() or self.gen.divides(ideal.gen)
+        return self.gen.divides(ideal.gen)
 
     def __str__(self) -> str:
-        return "(0)" if self.kind is PrimeKind.ZERO else f"({self.gen})"
+        return f"({self.gen})"
 
 
 @dataclass(frozen=True)
@@ -105,17 +93,6 @@ class ClosedSet:
         if self.is_empty():
             return "{}"
         return f"V({self.gen})"
-
-
-@dataclass(frozen=True)
-class BasicOpen:
-    """D(f), the open complement of V((f))."""
-
-    ring: Ring
-    f: RingElem
-
-    def complement(self) -> ClosedSet:
-        return v_of(self.ring.ideal(self.f))
 
 
 def v_of(ideal: Ideal) -> ClosedSet:
@@ -159,14 +136,10 @@ def closed_subset(v1: ClosedSet, v2: ClosedSet) -> bool:
 
 
 def prime_in(p: RealPrime, v: ClosedSet) -> bool:
+    """p in V(gen) iff p contains gen; the markers 0 (whole space) and 1
+    (empty set) follow the same rule."""
     if p.ring != v.ring:
         raise RingMismatchError("prime and closed set of different rings")
-    if p.kind is PrimeKind.ZERO:
-        return v.is_whole()
-    if v.is_whole():
-        return True
-    if v.is_empty():
-        return False
     return p.gen.divides(v.gen)
 
 
@@ -174,11 +147,7 @@ def enumerate_primes(ring: Ring) -> list[RealPrime]:
     """All real primes of a quotient ring, in canonical factor order."""
     if not ring.is_quotient:
         raise DomainError("Q[x] has infinitely many real primes")
-    return [
-        RealPrime.principal(ring, p)
-        for p, _ in ring.modulus_factors.factors
-        if has_real_root(p)
-    ]
+    return [RealPrime(ring, p) for p, _ in ring.modulus_factors.factors if has_real_root(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +183,21 @@ def finite_subcover(f: RingElem, fs: Sequence[RingElem]) -> SubcoverOutcome:
         raise NotACoverError("the family does not cover D(f)")
     fs = [ring.elem(g) for g in fs]
     full = ideal_sum(ring, fs)
-    target = _radical_gen(full)
+    target = real_radical(full).gen
 
     kept: list[int] = []
     acc = ring.zero_ideal()
     for i, g in enumerate(fs):
-        if _radical_gen(acc) == target:
+        if real_radical(acc).gen == target:
             break
         cand = ideal_sum(ring, (acc.gen, g))
-        if _radical_gen(cand) != _radical_gen(acc):
+        if real_radical(cand).gen != real_radical(acc).gen:
             kept.append(i)
             acc = cand
     for i in list(kept):
         rest = [j for j in kept if j != i]
-        if _radical_gen(ideal_sum(ring, [fs[j] for j in rest])) == target:
+        if real_radical(ideal_sum(ring, [fs[j] for j in rest])).gen == target:
             kept = rest
 
     return SubcoverOutcome(tuple(kept), combination_certificate(f, [fs[j] for j in kept]))
 
-
-def _radical_gen(ideal: Ideal) -> Optional[Poly]:
-    """Real radical generator used for subset comparisons; None for the
-    base ring's zero ideal (which no nonzero f belongs to)."""
-    if ideal.gen.is_zero():
-        return None
-    return real_part(ideal.gen)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Optional
 
 import sympy
 
@@ -214,3 +215,37 @@ def random_nonzero_elem(rng: random.Random, ring: Ring, max_deg: int = 3) -> Rin
         e = random_elem(rng, ring, max_deg)
         if not e.is_zero():
             return e
+
+
+# Prime containment as the library decided it when a real prime was a kind
+# ("zero" for the zero prime of Q[x], "principal" otherwise) with an optional
+# generator: one branch per kind and per closed-set marker. The library now
+# decides all three by whether the prime's generator divides; these are the
+# reference it is checked against.
+
+
+def prime_kind(gen: Poly) -> tuple[str, Optional[Poly]]:
+    return ("zero", None) if gen.is_zero() else ("principal", gen)
+
+
+def reference_contains(kind: str, gen: Optional[Poly], a: RingElem) -> bool:
+    if kind == "zero":
+        return a.is_zero()
+    return gen.divides(a.rep)
+
+
+def reference_contains_ideal(kind: str, gen: Optional[Poly], ideal_gen: Poly) -> bool:
+    if kind == "zero":
+        return ideal_gen.is_zero()
+    return ideal_gen.is_zero() or gen.divides(ideal_gen)
+
+
+def reference_prime_in(kind: str, gen: Optional[Poly], closed_gen: Poly) -> bool:
+    """closed_gen is a closed set's generator: 0 the whole space, 1 the empty set."""
+    if kind == "zero":
+        return closed_gen.is_zero()
+    if closed_gen.is_zero():
+        return True
+    if closed_gen.is_one():
+        return False
+    return gen.divides(closed_gen)

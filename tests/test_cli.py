@@ -106,6 +106,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "--ring", "Q[x]/(2*x)")
         assert code == 3
 
+    def test_zero_modulus_refused(self, capsys):
+        code, out, err = run(capsys, "classify", "--ring", "Q[x]/(0)")
+        assert (code, out) == (3, "") and err.startswith("error: ")
+
     def test_removed_search_flags(self, capsys):
         # the certificate search and its bounds are gone, and so are their flags
         for flag in ("--m-max=3", "--sos-degree=2", "--coeff-bound=4"):
@@ -113,6 +117,45 @@ class TestExitCodes:
                 run(capsys, "cert", "find", flag, "x^2+1", "1")
             assert exc.value.code == 2
             assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# each command with arguments it accepts, and the common flags it does not read
+_VALID = {
+    "factor": ["factor", "x^3-x"],
+    "real-part": ["real-part", "x^3-x"],
+    "sturm": ["sturm", "x^3-x"],
+    "cert verify": ["cert", "verify", "-"],
+    "explore-question": ["explore-question", "--trials", "0"],
+    "real-radical": ["real-radical", "x^2"],
+    "classify": ["classify"],
+    "primes": ["primes", "--ring", "Q[x]/(x^2-x)"],
+    "vset": ["vset", "union", "x", "x-1"],
+    "cover": ["cover", "--f", "x", "x"],
+    "subcover": ["subcover", "--f", "x", "x"],
+    "cert find": ["cert", "find", "x^2+1", "1"],
+    "section validate": ["section", "validate", "--f", "1", "--patch", "1:1"],
+    "section glue": ["section", "glue", "--f", "1", "--patch", "1:1"],
+    "section eq": ["section", "eq", "--f", "1", "--patch", "1:1", "--other", "1:1"],
+    "section stalk": ["section", "stalk", "--f", "x", "--patch", "x:1", "--prime", "0"],
+    "sigma-eq": ["sigma-eq", "--f", "1", "--num1", "1", "--num2", "1"],
+}
+_NO_RING = ("factor", "real-part", "sturm", "cert verify", "explore-question")
+_UNREAD_FLAGS = [(c, "--ring=Q[x]/(x^2)") for c in _NO_RING] + [
+    (c, "--seed=7") for c in _VALID if c != "explore-question"
+]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+    def test_refused(self, capsys, monkeypatch, command, flag):
+        if command == "cert verify":
+            doc = run(capsys, *_CERT_COMMANDS["real-radical"])[1]
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        assert run(capsys, *_VALID[command])[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *_VALID[command], flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParserReuse:
@@ -490,7 +533,8 @@ class TestPinnedOutput:
     @pytest.mark.parametrize(
         "kind, key, zero, minus_one",
         [
-            ("real-radical", "m", None, None),  # None: exit 3
+            # 1^0 + x^2 = 1 * (x^2+1): m = 0 is a valid witness; None: exit 3
+            ("real-radical", "m", "verified: true", None),
             ("subcover", "m", "verified: false", None),
             ("glue", "k", "verified: true", None),  # f = 1, so 1^(2k) = 1 for every k
         ],

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realspec import DomainError, ParseError, Poly, parse_poly, parse_ring, poly_to_str
+from realspec import DomainError, ParseError, Poly, Ring, parse_poly, parse_ring
 from realspec.parsing import MAX_EXPONENT, MAX_NESTING, MAX_POWER_SIZE
-from realspec.rings import RingKind
 
 
 class TestParse:
@@ -131,22 +130,22 @@ class TestRoundTrip:
     @given(st.lists(coeffs(), min_size=0, max_size=9).map(Poly))
     @settings(max_examples=300, deadline=None)
     def test_print_parse_round_trip(self, p):
-        assert parse_poly(poly_to_str(p)) == p
+        assert parse_poly(str(p)) == p
 
     def test_specific_shapes(self):
         for text in ("0", "1", "-1", "x", "-x", "x^2 - 3*x + 1/2", "-1/2*x^7 + x"):
             p = parse_poly(text)
-            assert parse_poly(poly_to_str(p)) == p
+            assert parse_poly(str(p)) == p
 
 
 class TestRing:
     def test_base(self):
-        assert parse_ring("Q[x]").kind is RingKind.BASE
-        assert parse_ring(" Q[x] ").kind is RingKind.BASE
+        assert parse_ring("Q[x]") == Ring.rationals()
+        assert parse_ring(" Q[x] ") == Ring.rationals()
 
     def test_quotient(self):
         ring = parse_ring("Q[x]/(x^2-x)")
-        assert ring.kind is RingKind.QUOTIENT
+        assert ring.is_quotient
         assert ring.modulus == parse_poly("x^2-x")
 
     def test_errors(self):
@@ -158,3 +157,5 @@ class TestRing:
             parse_ring("Q[x]/(2*x^2)")
         with pytest.raises(DomainError):
             parse_ring("Q[x]/(5)")
+        with pytest.raises(DomainError):
+            parse_ring("Q[x]/(0)")

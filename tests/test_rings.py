@@ -11,7 +11,6 @@ from realspec import (
     DomainError,
     Poly,
     Ring,
-    RingKind,
     RingMismatchError,
     SigmaDenominator,
     SumOfSquares,
@@ -70,7 +69,7 @@ def quot(text):
 
 class TestRingConstruction:
     def test_ring_constructor(self):
-        assert Ring(RingKind.BASE) == BASE
+        assert Ring(Poly.zero()) == BASE
         assert quot("x^2-x").is_real
         r = quot("x^2")
         assert not r.is_real and r.is_semireal
@@ -80,6 +79,16 @@ class TestRingConstruction:
             Ring.quotient(P("2*x^2"))
         with pytest.raises(DomainError):
             Ring.quotient(P("5"))
+        with pytest.raises(DomainError):
+            Ring(P("2*x^2"))
+
+    def test_zero_modulus_is_base_ring_not_a_quotient(self):
+        # Ring(0) is Q[x], but 0 cannot be written as a quotient's modulus
+        assert not Ring(Poly.zero()).is_quotient and str(Ring(Poly.zero())) == "Q[x]"
+        with pytest.raises(DomainError):
+            Ring.quotient(Poly.zero())
+        assert BASE.zero_ideal().is_zero() and BASE.zero_ideal().gen.is_zero()
+        assert quot("x^2-x").zero_ideal().is_zero()
 
     def test_classify_examples(self):
         def classify(ring):

@@ -102,6 +102,15 @@ class TestPsi:
         assert s.patches[0].denominator == BASE.elem(P("x^2+1"))
         assert section_validate(s).ok
 
+    def test_equality_ignores_witness(self):
+        # the witness is provenance only: psi(u) equals the same fractions without it
+        ring = quot("x^2-x")
+        s = psi(frac(ring, "x+1", "1", sos=("x",)))
+        assert s.patches[0].witness is not None
+        bare = section(ring, "1", [(str(s.patches[0].denominator), "x+1")])
+        assert section_eq(s, bare)
+        assert s == bare and s.patches[0] == bare.patches[0]
+
 
 class TestValidate:
     def test_worked_example_valid(self):
@@ -271,7 +280,7 @@ class TestStalks:
     def test_worked_example_germs(self):
         ring, f, patches = WORKED
         s = section(ring, f, patches)
-        p1 = RealPrime.principal(ring, P("x-1"))
+        p1 = RealPrime(ring, P("x-1"))
         germ = stalk_at(s, p1)
         assert (germ.numerator, germ.denominator) == (ring.elem(P("x")), ring.elem(P("x")))
         one_germ = stalk_at(psi(frac(ring, "x", "1")), p1)
@@ -279,7 +288,7 @@ class TestStalks:
         # evaluation at the root: x/x is 1 in the residue field at x - 1
         assert germ.numerator.rep.evaluate(1) / germ.denominator.rep.evaluate(1) == 1
 
-        p0 = RealPrime.principal(ring, P("x"))
+        p0 = RealPrime(ring, P("x"))
         germ0 = stalk_at(s, p0)
         assert (germ0.numerator, germ0.denominator) == (ring.zero(), ring.elem(P("x-1")))
         zero_germ = stalk_at(psi(frac(ring, "0", "1")), p0)
@@ -292,14 +301,14 @@ class TestStalks:
         ring = quot("x^2-x")
         s = section(ring, "x", [("x", "1")])
         with pytest.raises(OutOfDomainError):
-            stalk_at(s, RealPrime.principal(ring, P("x")))
+            stalk_at(s, RealPrime(ring, P("x")))
 
     def test_germ_denominator_outside_prime(self):
         ring = quot("x^2-x")
         with pytest.raises(DomainError):
             from realspec import StalkElement
 
-            StalkElement(RealPrime.principal(ring, P("x")), ring.one(), ring.elem(P("x")))
+            StalkElement(RealPrime(ring, P("x")), ring.one(), ring.elem(P("x")))
 
 
 class TestSectionEq:

@@ -1,15 +1,20 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from realspec import (
+    ClosedSet,
     DomainError,
+    LocalFraction,
     NotACoverError,
+    OutOfDomainError,
     Poly,
-    PrimeKind,
     RealPrime,
     Ring,
+    Section,
     closed_intersect,
     closed_subset,
     closed_union,
@@ -17,12 +22,21 @@ from realspec import (
     enumerate_primes,
     finite_subcover,
     prime_in,
+    stalk_at,
     v_of,
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
+from realspec.polynomials import has_real_root
 
-from helpers import random_elem, random_structured_poly
+from helpers import (
+    prime_kind,
+    random_elem,
+    random_structured_poly,
+    reference_contains,
+    reference_contains_ideal,
+    reference_prime_in,
+)
 
 BASE = Ring.rationals()
 
@@ -69,21 +83,87 @@ class TestClosedSets:
         assert closed_subset(vset(BASE, "x+5"), vset(BASE, "0"))  # whole contains all
 
     def test_prime_in_examples(self):
-        p = RealPrime.principal(BASE, P("x-1"))
+        p = RealPrime(BASE, P("x-1"))
         assert prime_in(p, vset(BASE, "x^2-1"))
         zero = RealPrime.zero(BASE)
         assert not prime_in(zero, vset(BASE, "x"))
-        assert prime_in(RealPrime.principal(BASE, P("x")), vset(BASE, "0"))
+        assert prime_in(RealPrime(BASE, P("x")), vset(BASE, "0"))
 
     def test_prime_validation(self):
         with pytest.raises(DomainError):
-            RealPrime.principal(BASE, P("x^2+1"))  # no real root
+            RealPrime(BASE, P("x^2+1"))  # no real root
         with pytest.raises(DomainError):
-            RealPrime.principal(BASE, P("x^2-1"))  # not irreducible
+            RealPrime(BASE, P("x^2-1"))  # not irreducible
         with pytest.raises(DomainError):
             RealPrime.zero(quot("x^2-x"))  # quotient has no zero prime
         with pytest.raises(DomainError):
-            RealPrime.principal(quot("x^2-x"), P("x-5"))  # does not divide modulus
+            RealPrime(quot("x^2-x"), P("x-5"))  # does not divide modulus
+
+
+# irreducibles with and without real roots, for moduli and elements
+_POOL = [P(t) for t in ("x", "x-1", "x+2", "x^2-2", "x^3-2", "x^2+1", "x^2+x+1")]
+
+
+@st.composite
+def primes_and_elems(draw):
+    """A ring (Q[x], or a quotient by a product of pool powers), all its real
+    primes (in Q[x]: the zero prime and the real-rooted pool members) and
+    elements that are products of pool powers times 0, 1 or -3/2."""
+    exponents = st.lists(st.integers(0, 2), min_size=len(_POOL), max_size=len(_POOL))
+
+    def product(exps):
+        out = Poly.one()
+        for p, e in zip(_POOL, exps):
+            out = out * p**e
+        return out
+
+    if draw(st.booleans()):
+        ring = BASE
+        primes = [RealPrime.zero(BASE)] + [RealPrime(BASE, p) for p in _POOL if has_real_root(p)]
+    else:
+        modulus = product(draw(exponents))
+        assume(not modulus.is_constant())
+        ring = Ring.quotient(modulus)
+        primes = enumerate_primes(ring)
+    units = st.sampled_from([0, 1, Fraction(-3, 2)])
+    elems = st.lists(st.tuples(units, exponents), min_size=1, max_size=4)
+    return ring, primes, [ring.elem(product(e) * Poly.const(u)) for u, e in draw(elems)]
+
+
+class TestOneContainmentRule:
+    """contains, contains_ideal, prime_in and stalk_at's domain check agree
+    with the branchy reference over (kind, gen) in tests/helpers.py."""
+
+    @given(primes_and_elems())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_reference(self, case):
+        ring, primes, elems = case
+        ideals = [ring.zero_ideal(), ring.unit_ideal()] + [ring.ideal(a) for a in elems]
+        closed = [ClosedSet(ring, Poly.zero()), ClosedSet(ring, Poly.one())]
+        closed += [v_of(i) for i in ideals]
+        for p in primes:
+            kind, gen = prime_kind(p.gen)
+            for a in elems:
+                assert p.contains(a) == reference_contains(kind, gen, a)
+                section = Section(ring, a, (LocalFraction(ring.one(), a),))
+                outside = reference_prime_in(kind, gen, v_of(ring.ideal(a)).gen)
+                if outside:
+                    with pytest.raises(OutOfDomainError):
+                        stalk_at(section, p)
+                else:
+                    assert stalk_at(section, p).denominator == a
+            for i in ideals:
+                assert p.contains_ideal(i) == reference_contains_ideal(kind, gen, i.gen)
+            for v in closed:
+                assert prime_in(p, v) == reference_prime_in(kind, gen, v.gen)
+
+    def test_markers_and_zero_prime(self):
+        zero, x = RealPrime.zero(BASE), RealPrime(BASE, P("x"))
+        whole, empty = ClosedSet(BASE, Poly.zero()), ClosedSet(BASE, Poly.one())
+        assert prime_in(zero, whole) and prime_in(x, whole)
+        assert not prime_in(zero, empty) and not prime_in(x, empty)
+        assert zero.contains_ideal(BASE.zero_ideal()) and not zero.contains(BASE.one())
+        assert str(zero) == "(0)" and str(x) == "(x)"
 
 
 class TestEnumeratePrimes:
