@@ -2,7 +2,6 @@
 
 from .errors import (
     DomainError,
-    EqualizeBlockedError,
     InputError,
     NotACoverError,
     NotASectionError,
@@ -38,6 +37,7 @@ from .rings import (
     annihilator,
     combination_certificate,
     find_certificate,
+    local_modulus,
     real_radical,
     real_radical_member,
     verify_certificate,

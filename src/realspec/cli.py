@@ -13,8 +13,7 @@ also by its closing identity).
 A document exponent is held to 0 <= m and the budgets below by one check,
 `_checked_power`, for every kind.
 
-Exit codes: 0 success, 2 parse or usage error, 3 precondition violation,
-4 glue blocked (`section glue` found no equalizing exponent).
+Exit codes: 0 success, 2 parse or usage error, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import (
-    DomainError,
-    InputError,
-    NotACoverError,
-    NotASectionError,
-    NotLocallyFractionalError,
-    OutOfDomainError,
-    ParseError,
-)
+from .errors import DomainError, InputError, ParseError
 from .explore import ExploreConfig, explore_question
 from .parsing import parse_poly, parse_ring
 from .polynomials import count_real_roots, factor, real_part
@@ -48,7 +39,6 @@ from .rings import (
     verify_certificate,
 )
 from .sheaves import (
-    GlueStatus,
     LocalFraction,
     Section,
     SigmaFraction,
@@ -73,7 +63,6 @@ from .spectrum import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
-EXIT_BLOCKED = 4
 
 #: Largest degree 2m * max(deg f, 1) of a power f^(2m) read from outside
 #: input (certificate documents, sigma-eq exponents); expanding it costs
@@ -194,7 +183,7 @@ def _verify_cert_doc(doc) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# handlers: (exit_code, json_payload, text_lines)
+# handlers: (json_payload, text_lines)
 
 
 def _cmd_factor(args):
@@ -205,40 +194,36 @@ def _cmd_factor(args):
         "unit": str(fac.unit),
         "factors": [{"poly": str(p), "mult": mult} for p, mult in fac.factors],
     }
-    return EXIT_OK, payload, lines
+    return payload, lines
 
 
 def _cmd_real_part(args):
     rp = real_part(parse_poly(args.poly))
-    return EXIT_OK, {"real_part": str(rp)}, [str(rp)]
+    return {"real_part": str(rp)}, [str(rp)]
 
 
 def _cmd_real_radical(args):
     ring = _ring(args)
     rad = real_radical(ring.ideal(parse_poly(args.poly)))
-    return EXIT_OK, {"generator": str(rad.gen)}, [str(rad.gen)]
+    return {"generator": str(rad.gen)}, [str(rad.gen)]
 
 
 def _cmd_sturm(args):
     n = count_real_roots(parse_poly(args.poly))
-    return EXIT_OK, {"real_roots": n}, [str(n)]
+    return {"real_roots": n}, [str(n)]
 
 
 def _cmd_classify(args):
     ring = _ring(args)
     is_real, is_semireal = ring.is_real, ring.is_semireal
     text = f"real={str(is_real).lower()} semireal={str(is_semireal).lower()}"
-    return EXIT_OK, {"real": is_real, "semireal": is_semireal}, [text]
+    return {"real": is_real, "semireal": is_semireal}, [text]
 
 
 def _cmd_primes(args):
     ring = _ring(args)
     primes = enumerate_primes(ring)
-    return (
-        EXIT_OK,
-        {"primes": [str(p.gen) for p in primes]},
-        [str(p) for p in primes] or ["(none)"],
-    )
+    return {"primes": [str(p.gen) for p in primes]}, [str(p) for p in primes] or ["(none)"]
 
 
 def _cmd_vset(args):
@@ -250,14 +235,14 @@ def _cmd_vset(args):
         acc = sets[0]
         for v in sets[1:]:
             acc = closed_union(acc, v)
-        return EXIT_OK, {"gen": str(acc.gen)}, [str(acc.gen)]
+        return {"gen": str(acc.gen)}, [str(acc.gen)]
     if args.op == "intersect":
         acc = closed_intersect(sets)
-        return EXIT_OK, {"gen": str(acc.gen)}, [str(acc.gen)]
+        return {"gen": str(acc.gen)}, [str(acc.gen)]
     if len(sets) != 2:
         raise DomainError("subset takes exactly two generators")
     result = closed_subset(sets[0], sets[1])
-    return EXIT_OK, {"subset": result}, [str(result).lower()]
+    return {"subset": result}, [str(result).lower()]
 
 
 def _cmd_cover(args):
@@ -265,7 +250,7 @@ def _cmd_cover(args):
     f = ring.elem(parse_poly(args.f))
     fs = [ring.elem(parse_poly(g)) for g in args.gens]
     result = cover_check(f, fs)
-    return EXIT_OK, {"covered": result}, [str(result).lower()]
+    return {"covered": result}, [str(result).lower()]
 
 
 def _cmd_subcover(args):
@@ -278,7 +263,7 @@ def _cmd_subcover(args):
         "subcover", ring, cert, "m",
         f=str(f), covers=_strs(fs), indices=indices, coeffs=_strs(cert.coeffs),
     )
-    return EXIT_OK, payload, [f"indices {indices}", _cert_line(cert, "m")]
+    return payload, [f"indices {indices}", _cert_line(cert, "m")]
 
 
 def _cmd_cert_find(args):
@@ -287,7 +272,7 @@ def _cmd_cert_find(args):
     a = ring.elem(parse_poly(args.element))
     outcome = find_certificate(ideal, a)
     if not outcome.found:
-        return EXIT_OK, {"kind": "real-radical", "member": False}, ["member: false"]
+        return {"kind": "real-radical", "member": False}, ["member: false"]
     cert = outcome.certificate
     sos, cofactor = _strs(cert.sos.terms), str(cert.coeffs[0])
     # "ideal" prints the ideal's generator: as a ring element, the zero
@@ -296,7 +281,7 @@ def _cmd_cert_find(args):
         "real-radical", ring, cert, "m", ideal=str(ideal.gen), element=str(a), cofactor=cofactor
     )
     lines = ["member: true", f"certificate: m={cert.m} sos=[{', '.join(sos)}] cofactor={cofactor}"]
-    return EXIT_OK, payload, lines
+    return payload, lines
 
 
 def _cmd_cert_verify(args):
@@ -309,7 +294,7 @@ def _cmd_cert_verify(args):
     except (OSError, ValueError) as exc:  # unreadable file, or not JSON
         raise InputError(f"cannot read certificate document: {exc}") from exc
     ok = _verify_cert_doc(doc)
-    return EXIT_OK, {"verified": ok}, [f"verified: {str(ok).lower()}"]
+    return {"verified": ok}, [f"verified: {str(ok).lower()}"]
 
 
 def _section_from_args(args, ring: Ring) -> Section:
@@ -331,23 +316,20 @@ def _cmd_section_validate(args):
         lines.append("cover: false")
     for i, j in report.bad_pairs:
         lines.append(f"incompatible pair ({i}, {j})")
-    return EXIT_OK, payload, lines
+    return payload, lines
 
 
 def _cmd_section_glue(args):
     ring = _ring(args)
     section = _section_from_args(args, ring)
     outcome = glue(section)
-    if outcome.status is GlueStatus.GLUED:
-        eq, frac, cert = outcome.equalized, outcome.fraction, outcome.certificate
-        payload = _cert_doc(
-            "glue", ring, cert, "k",
-            f=str(eq.f), coeffs=_strs(cert.coeffs), numerator=str(frac.numerator),
-            patches=[{"g": str(p.denominator), "a": str(p.numerator)} for p in eq.patches],
-        )
-        return EXIT_OK, payload, [str(frac), _cert_line(cert, "k")]
-    payload = {"kind": "glue", "status": outcome.status.value}
-    return EXIT_BLOCKED, payload, [f"glue failed: {outcome.status.value}"]
+    eq, frac, cert = outcome.equalized, outcome.fraction, outcome.certificate
+    payload = _cert_doc(
+        "glue", ring, cert, "k",
+        f=str(eq.f), coeffs=_strs(cert.coeffs), numerator=str(frac.numerator),
+        patches=[{"g": str(p.denominator), "a": str(p.numerator)} for p in eq.patches],
+    )
+    return payload, [str(frac), _cert_line(cert, "k")]
 
 
 def _cmd_section_eq(args):
@@ -356,7 +338,7 @@ def _cmd_section_eq(args):
     s1 = Section(ring, f, tuple(_parse_patch(ring, p) for p in args.patch))
     s2 = Section(ring, f, tuple(_parse_patch(ring, p) for p in args.other))
     result = section_eq(s1, s2)
-    return EXIT_OK, {"equal": result}, [str(result).lower()]
+    return {"equal": result}, [str(result).lower()]
 
 
 def _cmd_section_stalk(args):
@@ -370,7 +352,7 @@ def _cmd_section_stalk(args):
         "denominator": str(germ.denominator),
         "prime": str(prime),
     }
-    return EXIT_OK, payload, [str(germ)]
+    return payload, [str(germ)]
 
 
 def _cmd_sigma_eq(args):
@@ -385,7 +367,7 @@ def _cmd_sigma_eq(args):
         SigmaDenominator(f, _checked_power(f, args.m2), _parse_sos(ring, args.sos2)),
     )
     result = sigma_eq(u, v)
-    return EXIT_OK, {"equal": result}, [str(result).lower()]
+    return {"equal": result}, [str(result).lower()]
 
 
 def _cmd_explore(args):
@@ -398,8 +380,8 @@ def _cmd_explore(args):
     )
     report = explore_question(config)
     if args.json:
-        return EXIT_OK, report.to_dict(), []
-    return EXIT_OK, None, report.to_text().splitlines()
+        return report.to_dict(), []
+    return None, report.to_text().splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -501,18 +483,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload, lines = args.handler(args)
+        payload, lines = args.handler(args)
     except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        NotACoverError,
-        NotASectionError,
-        NotLocallyFractionalError,
-        OutOfDomainError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -521,7 +495,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for line in lines:
             print(line)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

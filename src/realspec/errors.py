@@ -25,10 +25,6 @@ class OutOfDomainError(DomainError):
     """A prime lies outside the domain of the section."""
 
 
-class EqualizeBlockedError(DomainError):
-    """No equalizing exponent exists within the complete bound."""
-
-
 class InputError(ValueError):
     """Malformed input beyond syntax: a bad option value, or a certificate
     document with a missing or mistyped field."""

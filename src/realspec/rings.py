@@ -79,18 +79,35 @@ class Ring:
         return factor(self.modulus)
 
     @cached_property
+    def real_factors(self) -> tuple[tuple[Poly, int], ...]:
+        """The (p, e) of the modulus with p real-rooted; none in Q[x]."""
+        if not self.is_quotient:
+            return ()
+        return tuple((p, e) for p, e in self.modulus_factors.factors if has_real_root(p))
+
+    @cached_property
     def is_real(self) -> bool:
         if not self.is_quotient:
             return True
         fs = self.modulus_factors.factors
-        squarefree = all(mult == 1 for _, mult in fs)
-        return squarefree and all(has_real_root(p) for p, _ in fs)
+        return len(self.real_factors) == len(fs) and all(e == 1 for _, e in fs)
 
     @cached_property
     def is_semireal(self) -> bool:
-        if not self.is_quotient:
-            return True
-        return any(has_real_root(p) for p, _ in self.modulus_factors.factors)
+        return not self.is_quotient or bool(self.real_factors)
+
+    @cached_property
+    def real_idempotent(self) -> "RingElem":
+        """e = 1 mod the real-rooted prime powers r of the modulus and 0 mod
+        the rest n = m / r: e = t*n from s*r + t*n = 1. It is 1 in Q[x] and
+        whenever n = 1."""
+        real = Poly.one()
+        for p, mult in self.real_factors:
+            real = real * p**mult
+        rest = self.modulus // real
+        if rest.is_one() or not self.is_quotient:
+            return self.one()
+        return self.elem(ext_gcd(real, rest)[2] * rest)
 
     # -- construction of elements and ideals ---------------------------
 
@@ -272,6 +289,21 @@ def annihilator(z: RingElem) -> Ideal:
         return ring.unit_ideal()
     m = ring.modulus
     return ring.ideal(m // gcd(m, z.rep))
+
+
+def local_modulus(g: RingElem) -> Poly:
+    """R_g: the product of the p^e exactly dividing the modulus with p
+    real-rooted and p not dividing g; in Q[x], 0 for g != 0 and 1 for g = 0.
+    The localization at g's multiplicative set is A/(R_g), so two elements
+    agree there exactly when R_g divides their difference (see `sheaves`)."""
+    ring = g.ring
+    if not ring.is_quotient:
+        return Poly.one() if g.is_zero() else Poly.zero()
+    out = Poly.one()
+    for p, e in ring.real_factors:
+        if not p.divides(g.rep):
+            out = out * p**e
+    return out
 
 
 def real_radical(ideal: Ideal) -> Ideal:

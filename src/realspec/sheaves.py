@@ -1,5 +1,5 @@
 """Sections of the structure sheaf over basic opens and the localization
-at the multiplicative set of f^(2m) + sums of squares.
+at the multiplicative set Sigma_f of f^(2m) + sums of squares.
 
 A section over D(f) is stored as a finite cover by D(g_i) with local
 fractions a_i/g_i. The module gives exact equality decisions for both
@@ -9,6 +9,24 @@ construction producing a single fraction. Its witness is the library's one
 `rings.Certificate`, the identity sum(b_i*g_i) = f^(2k) + sum of squares
 over the patch denominators, checked by the one `rings.verify_certificate`;
 `verify_glue` adds the closing identity g_i*a = den*a_i on every patch.
+
+For A = Q[x]/(m) (Q[x] is m = 0) let R_f be the product of the prime powers
+p^e exactly dividing m with p real-rooted and p not dividing f
+(`rings.local_modulus`; 0 in Q[x] for f != 0). Then
+Sigma_f^-1 A = A/(R_f) = Gamma(D(f)), real ring or not:
+- s = f^(2k) + sos in Sigma_f is a unit mod R_f: at a real root r of such
+  a p, f(r) != 0, so s(r) > 0 and p does not divide s. Conversely every
+  real factor of m / R_f divides f, so f lies in the real radical of
+  (m / R_f) and some s in Sigma_f is a multiple of m / R_f. Hence s*c = 0
+  for some s exactly when R_f divides c: `sigma_eq`, and with R_(g_i g_j)
+  the overlap test of `section_validate` and `section_eq`.
+- The real idempotent e (1 mod the real prime powers of m, 0 mod the rest)
+  kills the non-real part of m. On a real p^k with p not dividing g_i g_j
+  a valid section has p^k | c_ij = a_i g_j - a_j g_i, and where p divides
+  g_i g_j, (g_i g_j)^k is 0 mod p^k. So e (g_i g_j)^N c_ij = 0 for some N at
+  most the largest multiplicity of a real factor of m (1 in Q[x]), the
+  patches (e g_i^N a_i, g_i^(N+1)) agree exactly and still restrict the
+  section (e = 1 mod R_(g_i)), and `glue` always ends in a fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +37,6 @@ from typing import Optional, Sequence
 
 from .errors import (
     DomainError,
-    EqualizeBlockedError,
     NotASectionError,
     NotLocallyFractionalError,
     OutOfDomainError,
@@ -32,6 +49,7 @@ from .rings import (
     SigmaDenominator,
     annihilator,
     combination_certificate,
+    local_modulus,
     real_radical_member,
     verify_certificate,
 )
@@ -131,11 +149,10 @@ def _same_ambient(u: SigmaFraction, v: SigmaFraction) -> Ring:
 
 
 def sigma_eq(u: SigmaFraction, v: SigmaFraction) -> bool:
-    """Equality in the localization: f lies in the real radical of the
-    annihilator of the cross difference."""
+    """Equality in the localization A/(R_f): R_f divides the cross difference."""
     _same_ambient(u, v)
     cross = u.numerator * v.denominator.value() - v.numerator * u.denominator.value()
-    return real_radical_member(annihilator(cross), u.f)
+    return local_modulus(u.f).divides(cross.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +177,7 @@ def psi(u: SigmaFraction) -> Section:
 
 def _overlap_compatible(p: LocalFraction, q: LocalFraction) -> bool:
     cross = p.numerator * q.denominator - q.numerator * p.denominator
-    return real_radical_member(annihilator(cross), p.denominator * q.denominator)
+    return local_modulus(p.denominator * q.denominator).divides(cross.rep)
 
 
 def section_validate(s: Section) -> ValidationReport:
@@ -215,32 +232,6 @@ def normalize_basic(
 # equalize
 
 
-def _equalize_exponent(s: Section, limit: int) -> Optional[int]:
-    """Least m with (g_i g_j)^m * (a_i g_j - a_j g_i) = 0 for all pairs."""
-    worst = 0
-    for i in range(len(s.patches)):
-        for j in range(i + 1, len(s.patches)):
-            pi, pj = s.patches[i], s.patches[j]
-            cross = pi.numerator * pj.denominator - pj.numerator * pi.denominator
-            prod = pi.denominator * pj.denominator
-            m = 0
-            acc = cross
-            while not acc.is_zero():
-                m += 1
-                if m > limit:
-                    return None
-                acc = acc * prod
-            worst = max(worst, m)
-    return worst
-
-
-def _equalize_limit(ring: Ring) -> int:
-    # complete in quotients: solvable pairs need exponent at most deg(modulus);
-    # Q[x] (modulus 0, degree -inf) is a domain, so valid sections have zero
-    # cross terms and the bound is 1
-    return int(max(ring.modulus.degree, 1))
-
-
 def equalize(s: Section) -> Section:
     """Same section, rewritten so g_i * a_j = g_j * a_i holds exactly.
     Validates first; `glue` validates once itself and calls `_equalized`."""
@@ -250,20 +241,34 @@ def equalize(s: Section) -> Section:
 
 
 def _equalized(s: Section) -> Section:
-    """equalize for a section the caller has validated."""
-    m = _equalize_exponent(s, _equalize_limit(s.ring))
-    if m is None:
-        raise EqualizeBlockedError("no equalizing exponent exists within the complete bound")
-    if m == 0:
+    """equalize for a section the caller has validated: s itself when every
+    cross term c_ij = a_i g_j - a_j g_i is 0, else the patches
+    (e g_i^N a_i, g_i^(N+1)) for the real idempotent e and the least N with
+    e (g_i g_j)^N c_ij = 0 for all pairs."""
+    ring, pats = s.ring, s.patches
+    pairs = [
+        (p.numerator * q.denominator - q.numerator * p.denominator, p.denominator * q.denominator)
+        for i, p in enumerate(pats)
+        for q in pats[i + 1:]
+    ]
+    if all(cross.is_zero() for cross, _ in pairs):
         return s
+    e = ring.real_idempotent
+    # see the module docstring: N is at most the largest real multiplicity
+    bound = max((mult for _, mult in ring.real_factors), default=1)
+    n = 0
+    for cross, prod in pairs:
+        acc, k = e * cross, 0
+        while not acc.is_zero():
+            k += 1
+            if k > bound:
+                raise AssertionError("internal error: no equalizing exponent within the bound")
+            acc = acc * prod
+        n = max(n, k)
     patches = tuple(
-        LocalFraction(
-            p.denominator**m * p.numerator,
-            p.denominator ** (m + 1),
-        )
-        for p in s.patches
+        LocalFraction(e * p.denominator**n * p.numerator, p.denominator ** (n + 1)) for p in pats
     )
-    return Section(s.ring, s.f, patches)
+    return Section(ring, s.f, patches)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +277,14 @@ def _equalized(s: Section) -> Section:
 
 class GlueStatus(Enum):
     GLUED = "glued"
-    BLOCKED = "blocked"
 
 
 @dataclass(frozen=True)
 class GlueOutcome:
     status: GlueStatus
-    fraction: Optional[SigmaFraction] = None
-    certificate: Optional[Certificate] = None
-    equalized: Optional[Section] = None
+    fraction: SigmaFraction
+    certificate: Certificate
+    equalized: Section
 
     @property
     def glued(self) -> bool:
@@ -288,14 +292,13 @@ class GlueOutcome:
 
 
 def glue(s: Section) -> GlueOutcome:
-    """Assemble a section into a single fraction of the localization.
+    """Assemble a section into a single fraction of the localization; it
+    always succeeds, over Q[x] and every Q[x]/(m).
 
-    Always succeeds over real rings; over semi-real rings it runs in an
-    experimental capacity and reports distinctly when the equalizing step is
-    provably blocked. The section is validated once, here, and the
-    equalizing step relies on that check. The certificate's gens are the
-    equalized denominators; `combination_certificate` has verified it, so
-    only the closing identity is checked here.
+    The section is validated once, here, and the equalizing step relies on
+    that check. The certificate's gens are the equalized denominators;
+    `combination_certificate` has verified it, so only the closing identity
+    is checked here.
     """
     ring = s.ring
     if not section_validate(s).ok:
@@ -309,11 +312,7 @@ def glue(s: Section) -> GlueOutcome:
             cert = Certificate(s.f, w.m, w.tail, (p.denominator,), (ring.one(),))
             return GlueOutcome(GlueStatus.GLUED, SigmaFraction(p.numerator, w), cert, s)
 
-    try:
-        eq = _equalized(s)
-    except EqualizeBlockedError:
-        return GlueOutcome(GlueStatus.BLOCKED)
-
+    eq = _equalized(s)
     cert = combination_certificate(s.f, eq.denominators())
     num = ring.zero()
     for b, p in zip(cert.coeffs, eq.patches):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import sympy
 
-from realspec import Poly, Ring, RingElem
+from realspec import Poly, Ring, RingElem, annihilator, real_radical_member
 
 
 def euclid_gcd(p: Poly, q: Poly) -> Poly:
@@ -206,6 +206,18 @@ def random_real_quotient(rng: random.Random, max_primes: int = 3) -> Ring:
     return Ring.quotient(modulus)
 
 
+_NONREAL_IRREDUCIBLES = [Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([3, 0, 0, 0, 1])]  # x^2+1, x^2+x+1, x^4+3
+
+
+def random_semireal_quotient(rng: random.Random) -> Ring:
+    """Semi-real, non-real quotient: (x - a)^k for one to three distinct a
+    with k <= 3, times x^2 + 1, x^2 + x + 1 or x^4 + 3 to the power 1 or 2."""
+    modulus = rng.choice(_NONREAL_IRREDUCIBLES) ** rng.randint(1, 2)
+    for a in rng.sample(range(-3, 4), rng.randint(1, 3)):
+        modulus = modulus * Poly([-a, 1]) ** rng.randint(1, 3)
+    return Ring.quotient(modulus)
+
+
 def random_elem(rng: random.Random, ring: Ring, max_deg: int = 3, coeff: int = 4) -> RingElem:
     return ring.elem(Poly([Fraction(rng.randint(-coeff, coeff)) for _ in range(max_deg + 1)]))
 
@@ -249,3 +261,9 @@ def reference_prime_in(kind: str, gen: Optional[Poly], closed_gen: Poly) -> bool
     if closed_gen.is_one():
         return False
     return gen.divides(closed_gen)
+
+
+def reference_compatible(cross: RingElem, g: RingElem) -> bool:
+    """Whether cross is 0 on D(g), as the library decided it before the local
+    modulus: g lies in the real radical of the annihilator of cross."""
+    return real_radical_member(annihilator(cross), g)

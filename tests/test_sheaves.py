@@ -1,7 +1,9 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from realspec import (
     DomainError,
@@ -29,9 +31,17 @@ from realspec import (
     verify_certificate,
     verify_glue,
 )
+from realspec.explore import sample_section
 from realspec.parsing import parse_poly as P
+from realspec.sheaves import _overlap_compatible
 
-from helpers import random_elem, random_nonzero_elem, random_real_quotient
+from helpers import (
+    random_elem,
+    random_nonzero_elem,
+    random_real_quotient,
+    random_semireal_quotient,
+    reference_compatible,
+)
 
 BASE = Ring.rationals()
 
@@ -363,29 +373,98 @@ class TestRoundTripProperties:
             assert out.status is GlueStatus.GLUED
             assert sigma_eq(out.fraction, u)
 
+    @staticmethod
+    def _piecewise(rng, ring):
+        """Random numerators over the partition of the spectrum into single
+        primes: the patch at p has the product of the other primes as its
+        denominator."""
+        gens = [p.gen for p in enumerate_primes(ring)]
+        patches = []
+        for i in range(len(gens)):
+            others = Poly.one()
+            for q in gens[:i] + gens[i + 1:]:
+                others = others * q
+            patches.append(LocalFraction(random_elem(rng, ring, 2), ring.elem(others)))
+        return Section(ring, ring.one(), tuple(patches))
+
+    @staticmethod
+    def _assert_glues(s):
+        """s glues, its document re-verifies, and the fraction agrees with s
+        as a section and in the stalk at every real prime of D(f)."""
+        out = glue(s)
+        assert out.status is GlueStatus.GLUED
+        assert verify_glue(out.equalized, out.fraction, out.certificate)
+        assert section_eq(psi(out.fraction), s)
+        for p in enumerate_primes(s.ring):
+            if not p.contains(s.f):
+                assert stalk_eq(stalk_at(psi(out.fraction), p), stalk_at(s, p))
+
     def test_equalize_preserves_stalks(self):
         rng = random.Random(227)
         for _ in range(60):
             ring = random_real_quotient(rng)
-            primes = enumerate_primes(ring)
-            gens = [p.gen for p in primes]
-            # piecewise constants over the partition into single primes
-            patches = []
-            for i, p in enumerate(primes):
-                others = Poly.one()
-                for j, q in enumerate(gens):
-                    if j != i:
-                        others = others * q
-                patches.append(
-                    LocalFraction(random_elem(rng, ring, 2), ring.elem(others))
-                )
-            s = Section(ring, ring.one(), tuple(patches))
+            s = self._piecewise(rng, ring)
             assert section_validate(s).ok
             eq = equalize(s)
-            for p in primes:
+            for p in enumerate_primes(ring):
                 assert stalk_eq(stalk_at(s, p), stalk_at(eq, p))
-            out = glue(s)
-            assert out.status is GlueStatus.GLUED
-            assert section_eq(psi(out.fraction), s)
-            for p in primes:
-                assert stalk_eq(stalk_at(psi(out.fraction), p), stalk_at(s, p))
+            self._assert_glues(s)
+
+    def test_glue_always_succeeds_over_semireal_rings(self):
+        # rings with non-real factors, where equalizing inside A alone can
+        # never end: every sampled and every piecewise section still glues
+        rng = random.Random(229)
+        for _ in range(80):
+            ring = random_semireal_quotient(rng)
+            sections = [self._piecewise(rng, ring)]
+            sections += [sample_section(rng, ring) for _ in range(3)]
+            for s in sections:
+                self._assert_glues(s)
+
+
+# irreducibles with and without real roots, for moduli and elements
+_POOL = [P(t) for t in ("x", "x-1", "x+2", "x^2-2", "x^2+1", "x^2+x+1")]
+
+
+@st.composite
+def rings_and_elems(draw):
+    """Q[x] or a quotient by a product of pool powers, and five elements,
+    each a product of pool powers times 0, 1 or -3/2."""
+    exponents = st.lists(st.integers(0, 2), min_size=len(_POOL), max_size=len(_POOL))
+
+    def product(exps):
+        out = Poly.one()
+        for p, e in zip(_POOL, exps):
+            out = out * p**e
+        return out
+
+    ring = BASE
+    if draw(st.booleans()):
+        modulus = product(draw(exponents))
+        assume(not modulus.is_constant())
+        ring = Ring.quotient(modulus)
+    units = st.sampled_from([0, 1, Fraction(-3, 2)])
+    elems = st.lists(st.tuples(units, exponents), min_size=5, max_size=5)
+    return ring, [ring.elem(product(e) * Poly.const(u)) for u, e in draw(elems)]
+
+
+class TestOneEqualityRule:
+    """sigma_eq and the overlap test decide by the local modulus R_g; they
+    agree with the reference: g in the real radical of Ann(cross)."""
+
+    @given(rings_and_elems())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_reference(self, case):
+        ring, (a, z, f, g, h) = case
+        assume(not f.is_zero())
+        s = SigmaDenominator(f, 1, SumOfSquares((h,)))
+        u = SigmaFraction(a, s)
+        # same denominator: the cross term is -z*s; another denominator: anything
+        for v in (SigmaFraction(a + z, s), SigmaFraction(z, SigmaDenominator(f, 0))):
+            cross = u.numerator * v.denominator.value() - v.numerator * s.value()
+            assert sigma_eq(u, v) == reference_compatible(cross, f)
+        p = LocalFraction(a, g)
+        # the cross term with (a*h + z)/(g*h) is -z*g
+        for q in (LocalFraction(a * h + z, g * h), LocalFraction(z, h)):
+            cross = p.numerator * q.denominator - q.numerator * p.denominator
+            assert _overlap_compatible(p, q) == reference_compatible(cross, g * q.denominator)
