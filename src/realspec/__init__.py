@@ -21,7 +21,6 @@ from .polynomials import (
     gcd,
     has_real_root,
     is_irreducible,
-    lcm,
     real_part,
     squarefree_part,
 )

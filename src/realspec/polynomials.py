@@ -16,8 +16,10 @@ the rest of the library runs on: monic gcd with Bezout coefficients,
 squarefree parts, complete factorization over Q, Sturm real-root counting,
 and the real part (the monic product of the real-rooted irreducible
 factors). All but Bezout hand ``_p`` to sympy's dense ``dup_*`` routines
-over ZZ. Root counts and real parts are invariant under scaling, so their
-caches are keyed on ``_p``; factorizations on ``(content, _p)``.
+over ZZ; factoring and the real part go one squarefree component (Yun) at a
+time, and the real part factors only what a Sturm count cannot settle.
+Root counts and real parts are invariant under scaling, so their caches
+are keyed on ``_p``; factorizations on ``(content, _p)``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from sympy.polys.densearith import dup_prem
 from sympy.polys.densetools import dup_diff
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.sqfreetools import dup_sqf_part
+from sympy.polys.factortools import dup_zz_zassenhaus
+from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from .errors import DomainError
 
@@ -241,29 +243,10 @@ class Poly:
             return other.is_zero()
         return (other % self).is_zero()
 
-    def derivative(self) -> "Poly":
-        c = self._c
-        return _canonical([i * x for i, x in enumerate(self._p)][1:], c.numerator, c.denominator)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             raise DomainError("cannot normalize the zero polynomial")
         return _make(Fraction(1, self._p[-1]), self._p)
-
-    def evaluate(self, point: Coeff) -> Fraction:
-        p = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
-
-    def compose_affine(self, a: Coeff, b: Coeff) -> "Poly":
-        """Return p(a*x + b), exactly."""
-        arg = Poly([_as_fraction(b), _as_fraction(a)])
-        acc = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Poly.const(c)
-        return acc
 
     # -- comparisons / hashing ----------------------------------------
 
@@ -354,12 +337,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return _canonical(dup_gcd(list(reversed(p._p)), list(reversed(q._p)), ZZ)[::-1], 1, 1).monic()
 
 
-def lcm(p: Poly, q: Poly) -> Poly:
-    if p.is_zero() or q.is_zero():
-        return Poly.zero()
-    return ((p * q) // gcd(p, q)).monic()
-
-
 def ext_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     """Return (g, s, t) with g = gcd(p, q) monic and s*p + t*q = g."""
     if p.is_zero() and q.is_zero():
@@ -431,7 +408,8 @@ class Factorization:
 
 
 def factor(p: Poly) -> Factorization:
-    """Complete factorization of a nonzero polynomial into monic irreducibles."""
+    """Complete factorization of a nonzero polynomial into monic irreducibles,
+    by Zassenhaus on each squarefree component, which carries its multiplicity."""
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     return _factor_cached(p._c, p._p)
@@ -440,8 +418,11 @@ def factor(p: Poly) -> Factorization:
 @lru_cache(maxsize=CACHE_SIZE)
 def _factor_cached(content: Fraction, prim: tuple[int, ...]) -> Factorization:
     # The factors are monic, so the unit is the leading coefficient.
-    _, raw = dup_factor_list(list(reversed(prim)), ZZ)
-    pairs = [(_canonical(f[::-1], 1, 1).monic(), mult) for f, mult in raw]
+    pairs = [
+        (_canonical(f[::-1], 1, 1).monic(), mult)
+        for comp, mult in dup_sqf_list(list(reversed(prim)), ZZ)[1]
+        for f in dup_zz_zassenhaus(comp, ZZ)
+    ]
     pairs.sort(key=lambda pm: pm[0].sort_key())
     return Factorization(content * prim[-1], tuple(pairs))
 
@@ -498,7 +479,9 @@ def has_real_root(p: Poly) -> bool:
 def real_part(p: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of p with a real root.
 
-    Returns 1 when no factor has a real root (constants included).
+    Returns 1 when no factor has a real root (constants included). Per
+    squarefree component, a Sturm count of 0 drops it and a count equal to
+    its degree (all roots real) keeps it whole; only the rest are factored.
     """
     if p.is_zero():
         raise DomainError("real part of the zero polynomial is undefined")
@@ -508,7 +491,13 @@ def real_part(p: Poly) -> Poly:
 @lru_cache(maxsize=CACHE_SIZE)
 def _real_part_cached(prim: tuple[int, ...]) -> Poly:
     out = Poly.one()
-    for q, _mult in _factor_cached(Fraction(1, prim[-1]), prim).factors:
-        if has_real_root(q):
+    for comp, _mult in dup_sqf_list(list(reversed(prim)), ZZ)[1]:
+        q = _canonical(comp[::-1], 1, 1).monic()
+        real = count_real_roots(q)
+        if real == q.degree:
             out = out * q
+        elif real:
+            for f, _ in _factor_cached(q._c, q._p).factors:
+                if has_real_root(f):
+                    out = out * f
     return out

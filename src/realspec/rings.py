@@ -592,18 +592,28 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     by Lagrange's four squares. A Found outcome has been verified by
     independent re-expansion before being returned.
     """
-    ring = ideal.ring
-    a = ring.elem(a)
-    if not real_radical_member(ideal, a):
+    a = ideal.ring.elem(a)
+    witness = _witness(ideal, a)
+    if witness is None:
         return CertificateOutcome(CertificateStatus.NOT_MEMBER)
+    m, sos, cofactor = witness
+    cert = Certificate(a, m, sos, (a.ring.elem(ideal.gen),), (cofactor,))
+    return CertificateOutcome(CertificateStatus.FOUND, _verified(cert))
 
+
+def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, RingElem]]:
+    """(m, sos, cofactor) with a^(2m) + sos = cofactor * gen, as
+    find_certificate builds it but not yet verified; None for a non-member."""
+    ring = ideal.ring
+    if not real_radical_member(ideal, a):
+        return None
     gen = ideal.gen
     if a.is_zero() or gen.is_zero():
         # 0^(2m) = 0 * gen; and the zero ideal of Q[x] only contains a = 0
-        return _checked(a, 1, SumOfSquares(), ring.zero(), gen)
+        return 1, SumOfSquares(), ring.zero()
     a_lift = a.rep
     if gen.is_one():
-        return _checked(a, 1, SumOfSquares(), ring.elem(a_lift * a_lift), gen)
+        return 1, SumOfSquares(), ring.elem(a_lift * a_lift)
 
     gen_factors = factor(gen).factors
 
@@ -613,7 +623,7 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
         m = _least_even_power(gen_factors, a_lift)
         if m is None:
             raise AssertionError("membership guarantees divisibility by real factors")
-        return _checked(a, m, SumOfSquares(), ring.elem(a_lift ** (2 * m) // gen), gen)
+        return m, SumOfSquares(), ring.elem(a_lift ** (2 * m) // gen)
 
     parts: list[tuple[int, Weighted]] = []
     for p, e in gen_factors:
@@ -627,37 +637,32 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     for w, h in weighted:
         v = v + (h * h).scale(w)
     sos = SumOfSquares(tuple(ring.elem(t) for t in _squares(weighted)))
-    return _checked(a, m, sos, ring.elem(v // gen), gen)
+    return m, sos, ring.elem(v // gen)
 
 
-def _checked(
-    a: RingElem, m: int, sos: SumOfSquares, cofactor: RingElem, gen: Poly
-) -> CertificateOutcome:
-    cert = Certificate(a, m, sos, (a.ring.elem(gen),), (cofactor,))
+def _verified(cert: Certificate) -> Certificate:
     if not verify_certificate(cert):
         raise AssertionError("internal error: constructed certificate failed to verify")
-    return CertificateOutcome(CertificateStatus.FOUND, cert)
+    return cert
 
 
 def combination_certificate(f: RingElem, gens: Sequence[RingElem]) -> Certificate:
     """The certificate for f over a whole family: find_certificate's witness
     f^(2m) + sos = cofactor * gen for the ideal the family generates, with
     gen = sum(c_i * gens[i]) plus a multiple of the modulus, spread by
-    `bezout_many`, so coeffs[i] = cofactor * c_i. Verified before it is
+    `bezout_many`, so coeffs[i] = cofactor * c_i. As sum(c_i * gens[i]) is
+    gen in the ring, only this identity needs verifying, once, before it is
     returned; f must lie in the real radical of that ideal.
     """
     ring = f.ring
     gens = tuple(ring.elem(g) for g in gens)
     ideal = ideal_sum(ring, gens)
-    cert = find_certificate(ideal, f).certificate
-    if cert is None:
+    witness = _witness(ideal, f)
+    if witness is None:
         raise DomainError("f is not in the real radical of the family's ideal")
+    m, sos, cofactor = witness
     gen, cs = bezout_many([g.rep for g in gens] + [ring.modulus])
     if gen != ideal.gen:
         raise AssertionError("Bezout gcd disagrees with the canonical generator")
-    cofactor = cert.coeffs[0]
     coeffs = tuple(cofactor * ring.elem(c) for c in cs[: len(gens)])
-    combined = Certificate(f, cert.m, cert.sos, gens, coeffs)
-    if not verify_certificate(combined):
-        raise AssertionError("internal error: combination certificate failed to verify")
-    return combined
+    return _verified(Certificate(f, m, sos, gens, coeffs))

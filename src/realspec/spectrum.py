@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, NotACoverError, RingMismatchError
-from .polynomials import Poly, has_real_root, is_irreducible, real_part
+from .polynomials import Poly, count_real_roots, has_real_root, is_irreducible
 from .rings import (
     Certificate,
     Ideal,
@@ -96,11 +96,18 @@ class ClosedSet:
 
 
 def v_of(ideal: Ideal) -> ClosedSet:
-    """Closed set of an ideal, canonicalized through the real radical."""
+    """Closed set of an ideal, canonicalized through the real radical.
+
+    In a quotient it is the whole space when the radical's generator gen is
+    real_part(m), decided by counting roots, not factoring m: gen is a product
+    of distinct real-rooted irreducible factors of m, distinct irreducibles
+    share no root, and each real-rooted factor of m missing from gen has a real
+    root that gen lacks. So gen = real_part(m) iff both count as many real roots.
+    """
     ring = ideal.ring
     gen = real_radical(ideal).gen
     if ring.is_quotient and not gen.is_one():
-        if gen == real_part(ring.modulus):
+        if count_real_roots(gen) == count_real_roots(ring.modulus):
             gen = Poly.zero()  # every real prime contains the ideal
     return ClosedSet(ring, gen)
 

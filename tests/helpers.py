@@ -15,8 +15,50 @@ from fractions import Fraction
 from typing import Optional
 
 import sympy
+from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
-from realspec import Poly, Ring, RingElem, annihilator, real_radical_member
+from realspec import (
+    ClosedSet,
+    Factorization,
+    Ideal,
+    Poly,
+    Ring,
+    RingElem,
+    annihilator,
+    gcd,
+    has_real_root,
+    real_radical_member,
+)
+from realspec.parsing import parse_poly
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def evaluate(p: Poly, point) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def compose_affine(p: Poly, a, b) -> Poly:
+    """p(a*x + b), exactly."""
+    arg = Poly([b, a])
+    acc = Poly.zero()
+    for c in reversed(p.coeffs):
+        acc = acc * arg + Poly.const(c)
+    return acc
+
+
+def lcm(p: Poly, q: Poly) -> Poly:
+    """Monic least common multiple; 0 if either is 0."""
+    if p.is_zero() or q.is_zero():
+        return Poly.zero()
+    return ((p * q) // gcd(p, q)).monic()
 
 
 def euclid_gcd(p: Poly, q: Poly) -> Poly:
@@ -31,7 +73,7 @@ def euclid_squarefree_part(p: Poly) -> Poly:
     """Monic p / gcd(p, p'), by Euclid over Q."""
     if p.is_constant():
         return Poly.one()
-    return (p // euclid_gcd(p, p.derivative())).monic()
+    return (p // euclid_gcd(p, derivative(p))).monic()
 
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
@@ -97,9 +139,9 @@ def _count_open_01(q: Poly) -> int:
     if bound == 1:
         return 1
     half = Fraction(1, 2)
-    left = q.compose_affine(half, 0)  # q(x/2): roots in (0,1) <-> roots of q in (0,1/2)
-    right = q.compose_affine(half, half)  # q((x+1)/2)
-    at_half = 1 if q.evaluate(half) == 0 else 0
+    left = compose_affine(q, half, 0)  # q(x/2): roots in (0,1) <-> roots of q in (0,1/2)
+    right = compose_affine(q, half, half)  # q((x+1)/2)
+    at_half = 1 if evaluate(q, half) == 0 else 0
     return _count_open_01(left) + at_half + _count_open_01(right)
 
 
@@ -112,7 +154,7 @@ def count_real_roots_oracle(p: Poly) -> int:
     lead = abs(q.leading)
     m_bound = 1 + max(abs(c) for c in q.coeffs) / lead
     # map (0,1) onto (-M, M)
-    scaled = q.compose_affine(2 * m_bound, -m_bound)
+    scaled = compose_affine(q, 2 * m_bound, -m_bound)
     return _count_open_01(scaled)
 
 
@@ -267,3 +309,61 @@ def reference_compatible(cross: RingElem, g: RingElem) -> bool:
     """Whether cross is 0 on D(g), as the library decided it before the local
     modulus: g lies in the real radical of the annihilator of cross."""
     return real_radical_member(annihilator(cross), g)
+
+
+# Factorization, real part and V(I) as the library computed them before it
+# went one squarefree component at a time: sympy's complete factorization of
+# the whole primitive part, a real part filtered from all of its factors, and
+# V(I) compared with the real part of the modulus. The library's routes are
+# checked against these.
+
+
+def reference_factor(p: Poly) -> Factorization:
+    _, raw = dup_factor_list(list(reversed(p._p)), ZZ)
+    pairs = [(Poly(reversed(f)).monic(), mult) for f, mult in raw]
+    pairs.sort(key=lambda pm: pm[0].sort_key())
+    return Factorization(p.leading, tuple(pairs))
+
+
+def reference_real_part(p: Poly) -> Poly:
+    out = Poly.one()
+    for q, _mult in reference_factor(p).factors:
+        if has_real_root(q):
+            out = out * q
+    return out
+
+
+def reference_v_of(ideal: Ideal) -> ClosedSet:
+    ring, gen = ideal.ring, ideal.gen
+    if gen.is_zero():  # the zero ideal of Q[x] is real
+        return ClosedSet(ring, gen)
+    gen = reference_real_part(gen)
+    if ring.is_quotient and not gen.is_one() and gen == reference_real_part(ring.modulus):
+        gen = Poly.zero()
+    return ClosedSet(ring, gen)
+
+
+#: Factors with every root real (non-monic ones among them), without a real
+#: root, irreducible with both kinds (x^3 - 2, x^5 - x - 1), and cyclotomic.
+ROUTE_POOL = tuple(parse_poly(t) for t in (
+    "x", "x-1", "x+2", "2*x+3", "3*x-1", "x^2-2", "x^3-3*x+1",
+    "x^2+1", "x^2+x+1", "2*x^2+3",
+    "x^3-2", "x^5-x-1",
+    "x^4+1", "x^6-1",
+))
+
+
+def route_factors():
+    """One to four distinct pool factors, each with a power 1..3 (pool
+    factors may share a factor, whose multiplicities then add up)."""
+    pairs = st.tuples(st.sampled_from(ROUTE_POOL), st.integers(1, 3))
+    return st.lists(pairs, min_size=1, max_size=4, unique_by=lambda qk: qk[0])
+
+
+@st.composite
+def route_products(draw) -> Poly:
+    """A rational unit of either sign times the powers of `route_factors`."""
+    p = Poly.const(Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 5])), draw(st.integers(1, 4))))
+    for q, k in draw(route_factors()):
+        p = p * q**k
+    return p

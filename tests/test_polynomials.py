@@ -14,7 +14,6 @@ from realspec import (
     factor,
     gcd,
     is_irreducible,
-    lcm,
     real_part,
     squarefree_part,
 )
@@ -22,14 +21,20 @@ from realspec.parsing import parse_poly as P
 
 from helpers import (
     count_real_roots_oracle,
+    derivative,
     euclid_gcd,
     euclid_squarefree_part,
+    evaluate,
     frac_divmod,
     frac_mul,
     from_sympy,
+    lcm,
     random_dense_product,
     random_nonzero_poly,
     random_structured_poly,
+    reference_factor,
+    reference_real_part,
+    route_products,
     to_sympy,
 )
 
@@ -81,7 +86,7 @@ class TestArithmetic:
         assert (quo, rem) == (P("x"), P("-x"))
 
     def test_derivative_power_rule(self):
-        assert P("x^4+x^2").derivative() == P("4*x^3+2*x")
+        assert derivative(P("x^4+x^2")) == P("4*x^3+2*x")
 
     def test_zero_degree_marker(self):
         assert Poly.zero().degree == NEG_INF
@@ -179,7 +184,7 @@ class TestKernelAgainstFractionReference:
         half = Fraction(1, 2)
         routes = [
             Poly([half, 1]), Poly([1, 2]).scale(half), P("x+1/2"), P("2*x+1") * Poly.const(half),
-            P("-4*x-2").scale(Fraction(-1, 4)), P("(x+1/2)^2").derivative().scale(half),
+            P("-4*x-2").scale(Fraction(-1, 4)), derivative(P("(x+1/2)^2")).scale(half),
             P("x^2+3/2*x+1/2") // P("x+1"), P("3*x^2+x") - P("3*x^2-1/2"),
         ]
         for p in routes:
@@ -268,7 +273,7 @@ class TestSquarefreeAndFactor:
         # rational root theorem: x^2 - 2 has no root among +-1, +-2, so it is
         # irreducible in degree 2
         for cand in (1, -1, 2, -2):
-            assert P("x^2-2").evaluate(cand) != 0
+            assert evaluate(P("x^2-2"), cand) != 0
         assert is_irreducible(P("x^2-2"))
 
     def test_factor_zero(self):
@@ -294,7 +299,7 @@ class TestRealRoots:
         assert count_real_roots(P("x^2+1")) == 0
         # roots -1, 0, 1 verified by evaluation
         for r in (-1, 0, 1):
-            assert P("x^3-x").evaluate(r) == 0
+            assert evaluate(P("x^3-x"), r) == 0
         assert count_real_roots(P("x^3-x")) == 3
 
     def test_zero_error(self):
@@ -343,6 +348,42 @@ class TestRealPart:
             p = random_structured_poly(rng, max_factors=3, max_deg=8)
             q = random_structured_poly(rng, max_factors=3, max_deg=8)
             assert real_part(p * q) == lcm(real_part(p), real_part(q))
+
+
+class TestPerComponentRoutes:
+    """factor and real_part go one squarefree component at a time, with Sturm
+    short-cuts; the whole-polynomial routes they replaced are the reference."""
+
+    @given(route_products())
+    @settings(max_examples=150, deadline=None)
+    def test_factor_matches_reference(self, p):
+        fac = factor(p)
+        assert fac == reference_factor(p)
+        assert fac.value() == p
+
+    @given(route_products())
+    @settings(max_examples=150, deadline=None)
+    def test_real_part_matches_reference(self, p):
+        assert real_part(p) == reference_real_part(p)
+
+    def test_dense_products_match_reference(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            p, _ = random_dense_product(rng, 24)
+            assert factor(p) == reference_factor(p)
+            assert real_part(p) == reference_real_part(p)
+
+    def test_short_cut_examples(self):
+        # components with both kinds of roots are factored: one holding an
+        # all-real cubic and a non-real quadratic, and the irreducible x^3 - 2
+        assert real_part(P("(x^3-3*x+1)*(x^2+1)")) == P("x^3-3*x+1")
+        assert real_part(P("(x^3-2)*(x^2+x+1)^2")) == P("x^3-2")
+        # an all-real component kept whole is made monic
+        assert real_part(P("(2*x+3)*(3*x-1)*(x^2+1)^2")) == P("(x+3/2)*(x-1/3)")
+        fac = factor(P("(x^4+1)^2*(x-1)^3*(x^3-2)"))
+        assert [(str(q), m) for q, m in fac.factors] == [
+            ("x - 1", 3), ("x^3 - 2", 1), ("x^4 + 1", 2),
+        ]
 
 
 class TestIntegerKernelCrossCheck:

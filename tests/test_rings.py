@@ -22,11 +22,12 @@ from realspec import (
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
-from realspec.polynomials import is_irreducible, lcm, real_part
+from realspec.polynomials import is_irreducible, real_part
 from realspec.rings import RingElem, combination_certificate, ideal_sum
 
 from helpers import (
     from_sympy,
+    lcm,
     random_dense_product,
     random_elem,
     random_real_quotient,

@@ -30,12 +30,15 @@ from realspec.parsing import parse_poly as P
 from realspec.polynomials import has_real_root
 
 from helpers import (
+    ROUTE_POOL,
     prime_kind,
     random_elem,
     random_structured_poly,
     reference_contains,
     reference_contains_ideal,
     reference_prime_in,
+    reference_v_of,
+    route_factors,
 )
 
 BASE = Ring.rationals()
@@ -164,6 +167,28 @@ class TestOneContainmentRule:
         assert not prime_in(zero, empty) and not prime_in(x, empty)
         assert zero.contains_ideal(BASE.zero_ideal()) and not zero.contains(BASE.one())
         assert str(zero) == "(0)" and str(x) == "(x)"
+
+
+class TestVOfByRootCount:
+    """v_of decides "V(I) is everything" by counting real roots; the factoring
+    route it replaced, gen == real_part(m), is the reference."""
+
+    @given(route_factors(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, pieces, data):
+        m = Poly.one()
+        g = data.draw(st.sampled_from((Poly.one(),) + ROUTE_POOL))  # maybe foreign to m
+        for q, k in pieces:
+            m = m * q**k
+            g = g * q ** data.draw(st.integers(0, k))
+        for ring in (Ring.quotient(m.monic()), Ring.rationals()):
+            ideal = ring.ideal(g)
+            assert v_of(ideal) == reference_v_of(ideal)
+
+    def test_whole_space_with_non_real_and_repeated_factors(self):
+        ring = quot("(x-1)^2*(x^3-2)*(x^2+1)")
+        assert v_of(ring.ideal(P("(x-1)*(x^3-2)"))).is_whole()
+        assert v_of(ring.ideal(P("x^3-2"))).gen == P("x^3-2")
 
 
 class TestEnumeratePrimes:
