@@ -334,9 +334,8 @@ def _cmd_section_glue(args):
 
 def _cmd_section_eq(args):
     ring = _ring(args)
-    f = ring.elem(parse_poly(args.f))
-    s1 = Section(ring, f, tuple(_parse_patch(ring, p) for p in args.patch))
-    s2 = Section(ring, f, tuple(_parse_patch(ring, p) for p in args.other))
+    s1 = _section_from_args(args, ring)
+    s2 = Section(ring, s1.f, tuple(_parse_patch(ring, p) for p in args.other))
     result = section_eq(s1, s2)
     return {"equal": result}, [str(result).lower()]
 

@@ -4,12 +4,12 @@ Every section over D(f) of Q[x]/(m) comes from the localization (see
 `sheaves`). The harness samples semi-real, non-real quotient rings and
 random valid sections, glues each one, and checks that the glued
 fraction's image agrees with the section; a disagreement is an internal
-error. Sections are handed to glue as raw local data (no localization
-witnesses), so the general construction is what gets exercised.
+error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from dataclasses import dataclass
@@ -32,6 +32,10 @@ from .sheaves import (
     section_eq,
 )
 from .spectrum import enumerate_primes
+
+
+# glue always glues, so the other two stay 0; the keys keep the report shape
+TALLY_KEYS = ("glued", "certificate-exhausted", "blocked")
 
 
 @dataclass(frozen=True)
@@ -64,21 +68,11 @@ class ExplorationReport:
     rings: list[RingReport]
 
     def totals(self) -> dict[str, int]:
-        acc = {"glued": 0, "certificate-exhausted": 0, "blocked": 0}
-        for r in self.rings:
-            for key, n in r.tallies.items():
-                acc[key] = acc.get(key, 0) + n
-        return acc
+        return {key: sum(r.tallies[key] for r in self.rings) for key in TALLY_KEYS}
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "rings": self.config.rings,
-                "trials": self.config.trials,
-                "deg_min": self.config.deg_min,
-                "deg_max": self.config.deg_max,
-                "seed": self.config.seed,
-            },
+            "config": dataclasses.asdict(self.config),
             "rings": [
                 {
                     "ring": r.ring,
@@ -103,15 +97,7 @@ class ExplorationReport:
         for r in self.rings:
             tally = " ".join(f"{k}={v}" for k, v in sorted(r.tallies.items()))
             lines.append(f"ring {r.ring}: {tally}")
-        totals = self.totals()
-        lines.append(
-            "totals: glued=%d certificate-exhausted=%d blocked=%d"
-            % (
-                totals.get("glued", 0),
-                totals.get("certificate-exhausted", 0),
-                totals.get("blocked", 0),
-            )
-        )
+        lines.append("totals: " + " ".join(f"{k}={v}" for k, v in self.totals().items()))
         return "\n".join(lines) + "\n"
 
 
@@ -164,15 +150,10 @@ def _random_nonzero(rng: random.Random, ring: Ring, max_deg: int = 2) -> RingEle
     return ring.one()
 
 
-def _strip_witnesses(s: Section) -> Section:
-    patches = tuple(LocalFraction(p.numerator, p.denominator) for p in s.patches)
-    return Section(s.ring, s.f, patches)
-
-
 def sample_section(rng: random.Random, ring: Ring) -> Section:
     """Random valid section: either the image of a random fraction of the
-    localization (witness stripped), or piecewise data over a partition of
-    the spectrum into disjoint basic opens."""
+    localization, or piecewise data over a partition of the spectrum into
+    disjoint basic opens."""
     primes = enumerate_primes(ring)
     if primes and rng.random() < 0.6:
         f = ring.one()
@@ -198,7 +179,7 @@ def sample_section(rng: random.Random, ring: Ring) -> Section:
         tail_terms.append(_random_elem(rng, ring, 1))
     den = SigmaDenominator(f, m, SumOfSquares(tuple(tail_terms)))
     u = SigmaFraction(_random_elem(rng, ring), den)
-    return _strip_witnesses(psi(u))
+    return psi(u)
 
 
 def explore_question(config: ExploreConfig) -> ExplorationReport:
@@ -211,8 +192,7 @@ def explore_question(config: ExploreConfig) -> ExplorationReport:
         ring = sample_semireal_nonreal_ring(rng, config.deg_min, config.deg_max)
         report = RingReport(
             ring=str(ring), is_semireal=ring.is_semireal, is_real=ring.is_real,
-            # glue always glues, so the other two stay 0; the keys keep the report shape
-            tallies={"glued": 0, "certificate-exhausted": 0, "blocked": 0},
+            tallies=dict.fromkeys(TALLY_KEYS, 0),
         )
         for _ in range(config.trials):
             section = sample_section(rng, ring)

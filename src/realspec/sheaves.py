@@ -3,12 +3,15 @@ at the multiplicative set Sigma_f of f^(2m) + sums of squares.
 
 A section over D(f) is stored as a finite cover by D(g_i) with local
 fractions a_i/g_i. The module gives exact equality decisions for both
-sides of the canonical map psi (localization to sections), the equalizing
-rewrite that makes g_i*a_j = g_j*a_i hold on the nose, and the gluing
-construction producing a single fraction. Its witness is the library's one
-`rings.Certificate`, the identity sum(b_i*g_i) = f^(2k) + sum of squares
-over the patch denominators, checked by the one `rings.verify_certificate`;
-`verify_glue` adds the closing identity g_i*a = den*a_i on every patch.
+sides of the canonical map psi (localization to sections) and in the stalks,
+the equalizing rewrite that makes g_i*a_j = g_j*a_i hold on the nose, and
+the gluing construction producing a single fraction. Its certificate is the
+library's one `rings.Certificate`, the identity sum(b_i*g_i) = f^(2k) + sum
+of squares over the patch denominators, checked by the one
+`rings.verify_certificate`; `verify_glue` adds the closing identity
+g_i*a = den*a_i on every patch.
+
+Each equality below is one rule: a kernel divides the cross difference.
 
 For A = Q[x]/(m) (Q[x] is m = 0) let R_f be the product of the prime powers
 p^e exactly dividing m with p real-rooted and p not dividing f
@@ -27,13 +30,21 @@ Sigma_f^-1 A = A/(R_f) = Gamma(D(f)), real ring or not:
   most the largest multiplicity of a real factor of m (1 in Q[x]), the
   patches (e g_i^N a_i, g_i^(N+1)) agree exactly and still restrict the
   section (e = 1 mod R_(g_i)), and `glue` always ends in a fraction.
+
+At a real prime P = (p) the stalk is A_P = A/(p^e), p^e the power of p
+exactly dividing m (p^e = 0 in Q[x], for the zero prime and for a principal
+one, as Q[x]_P is a domain). Two germs agree when s*c = 0 for some s outside
+P, c the cross difference, i.e. when Ann(c) is not inside P. Ann(c) is
+(m / gcd(m, c)) (the unit ideal for c = 0), and p divides m / gcd(m, c)
+exactly when p^e does not divide c. So the germs agree iff p^e | c:
+`stalk_eq`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DomainError,
@@ -42,12 +53,12 @@ from .errors import (
     OutOfDomainError,
     RingMismatchError,
 )
+from .polynomials import Poly
 from .rings import (
     Certificate,
     Ring,
     RingElem,
     SigmaDenominator,
-    annihilator,
     combination_certificate,
     local_modulus,
     real_radical_member,
@@ -58,16 +69,10 @@ from .spectrum import RealPrime, cover_check, v_of
 
 @dataclass(frozen=True)
 class LocalFraction:
-    """The fraction numerator/denominator on D(denominator).
-
-    ``witness`` records a known presentation of the denominator as
-    f^(2m) + sum of squares (set by psi); it is provenance only and takes
-    no part in equality or validation.
-    """
+    """The fraction numerator/denominator on D(denominator)."""
 
     numerator: RingElem
     denominator: RingElem
-    witness: Optional[SigmaDenominator] = field(default=None, compare=False)
 
     def __str__(self) -> str:
         return f"{self.numerator} / {self.denominator}"
@@ -167,8 +172,7 @@ def psi(u: SigmaFraction) -> Section:
     # containment D(f) within D(den): primes avoiding f avoid den
     if not cover_check(u.f, [den]):
         raise AssertionError("denominator fails to cover its basic open")
-    patch = LocalFraction(u.numerator, den, witness=u.denominator)
-    return Section(ring, u.f, (patch,))
+    return Section(ring, u.f, (LocalFraction(u.numerator, den),))
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +237,13 @@ def normalize_basic(
 
 
 def equalize(s: Section) -> Section:
-    """Same section, rewritten so g_i * a_j = g_j * a_i holds exactly.
-    Validates first; `glue` validates once itself and calls `_equalized`."""
+    """Same section, rewritten so g_i * a_j = g_j * a_i holds exactly: s
+    itself when every cross term c_ij = a_i g_j - a_j g_i is 0, else the
+    patches (e g_i^N a_i, g_i^(N+1)) for the real idempotent e and the least
+    N with e (g_i g_j)^N c_ij = 0 for all pairs. The section is validated
+    here, and the rewrite relies on that check."""
     if not section_validate(s).ok:
-        raise NotASectionError("cannot equalize invalid local data")
-    return _equalized(s)
-
-
-def _equalized(s: Section) -> Section:
-    """equalize for a section the caller has validated: s itself when every
-    cross term c_ij = a_i g_j - a_j g_i is 0, else the patches
-    (e g_i^N a_i, g_i^(N+1)) for the real idempotent e and the least N with
-    e (g_i g_j)^N c_ij = 0 for all pairs."""
+        raise NotASectionError("the local data is not a section")
     ring, pats = s.ring, s.patches
     pairs = [
         (p.numerator * q.denominator - q.numerator * p.denominator, p.denominator * q.denominator)
@@ -295,24 +294,12 @@ def glue(s: Section) -> GlueOutcome:
     """Assemble a section into a single fraction of the localization; it
     always succeeds, over Q[x] and every Q[x]/(m).
 
-    The section is validated once, here, and the equalizing step relies on
-    that check. The certificate's gens are the equalized denominators;
-    `combination_certificate` has verified it, so only the closing identity
-    is checked here.
+    `equalize` validates the section, once. The certificate's gens are the
+    equalized denominators; `combination_certificate` has verified it, so
+    only the closing identity is checked here.
     """
     ring = s.ring
-    if not section_validate(s).ok:
-        raise NotASectionError("the local data is not a section")
-
-    # psi image round trip: give back the witnessed preimage unchanged
-    if len(s.patches) == 1:
-        p = s.patches[0]
-        w = p.witness
-        if w is not None and w.f == s.f and w.value() == p.denominator:
-            cert = Certificate(s.f, w.m, w.tail, (p.denominator,), (ring.one(),))
-            return GlueOutcome(GlueStatus.GLUED, SigmaFraction(p.numerator, w), cert, s)
-
-    eq = _equalized(s)
+    eq = equalize(s)
     cert = combination_certificate(s.f, eq.denominators())
     num = ring.zero()
     for b, p in zip(cert.coeffs, eq.patches):
@@ -324,9 +311,11 @@ def glue(s: Section) -> GlueOutcome:
 
 
 def verify_glue(eq: Section, result: SigmaFraction, cert: Certificate) -> bool:
-    """verify_certificate for a certificate over eq's denominators, plus the
-    closing identity g_j*a = den*a_j per patch."""
-    if cert.f != eq.f or cert.gens != tuple(eq.denominators()):
+    """verify_certificate for a certificate over eq's denominators whose
+    f^(2m) + sos is the fraction's denominator, plus the closing identity
+    g_j*a = den*a_j per patch."""
+    own = SigmaDenominator(cert.f, cert.m, cert.sos)
+    if cert.f != eq.f or cert.gens != tuple(eq.denominators()) or result.denominator != own:
         return False
     return verify_certificate(cert) and _closes(eq, result)
 
@@ -355,12 +344,14 @@ def stalk_at(s: Section, p: RealPrime) -> StalkElement:
 
 
 def stalk_eq(e1: StalkElement, e2: StalkElement) -> bool:
-    """Equality of germs: the cross difference is killed outside the prime."""
+    """Equality in A_P = A/(p^e): p^e divides the cross difference (see the
+    module docstring; p^e is 0 in Q[x])."""
     if e1.prime != e2.prime:
         raise DomainError("germs at different primes are incomparable")
+    ring, p = e1.prime.ring, e1.prime.gen
+    pe = p ** dict(ring.real_factors)[p] if ring.is_quotient else Poly.zero()
     cross = e1.numerator * e2.denominator - e2.numerator * e1.denominator
-    # a real prime contains an ideal exactly when it contains its real radical
-    return not e1.prime.contains_ideal(annihilator(cross))
+    return pe.divides(cross.rep)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Real primes, canonical closed sets V(I) and their boolean algebra, basic
 opens D(f), exact cover decisions, and finite subcovers. A real prime is
 (gen): gen 0 for the zero prime of Q[x] (the quotient by 0), otherwise a
 real-rooted irreducible dividing the modulus, and it contains x exactly
-when gen divides x. That one test decides elements, ideals and closed
-sets alike. A subcover's witness is the library's one `rings.Certificate`,
-the identity sum(coeffs[j] * gens[j]) = f^(2m) + sum of squares over the
+when gen divides x. That one test decides elements and closed sets
+alike. A subcover's witness is the library's one `rings.Certificate`, the
+identity sum(coeffs[j] * gens[j]) = f^(2m) + sum of squares over the
 subcover's members, checked by the one `rings.verify_certificate`.
 """
 
@@ -59,11 +59,6 @@ class RealPrime:
         if a.ring != self.ring:
             raise RingMismatchError("element belongs to a different ring")
         return self.gen.divides(a.rep)
-
-    def contains_ideal(self, ideal: Ideal) -> bool:
-        if ideal.ring != self.ring:
-            raise RingMismatchError("ideal belongs to a different ring")
-        return self.gen.divides(ideal.gen)
 
     def __str__(self) -> str:
         return f"({self.gen})"
@@ -154,7 +149,7 @@ def enumerate_primes(ring: Ring) -> list[RealPrime]:
     """All real primes of a quotient ring, in canonical factor order."""
     if not ring.is_quotient:
         raise DomainError("Q[x] has infinitely many real primes")
-    return [RealPrime(ring, p) for p, _ in ring.modulus_factors.factors if has_real_root(p)]
+    return [RealPrime(ring, p) for p, _ in ring.real_factors]
 
 
 # ---------------------------------------------------------------------------

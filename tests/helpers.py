@@ -26,6 +26,7 @@ from realspec import (
     Poly,
     Ring,
     RingElem,
+    StalkElement,
     annihilator,
     gcd,
     has_real_root,
@@ -274,7 +275,7 @@ def random_nonzero_elem(rng: random.Random, ring: Ring, max_deg: int = 3) -> Rin
 # Prime containment as the library decided it when a real prime was a kind
 # ("zero" for the zero prime of Q[x], "principal" otherwise) with an optional
 # generator: one branch per kind and per closed-set marker. The library now
-# decides all three by whether the prime's generator divides; these are the
+# decides both by whether the prime's generator divides; these are the
 # reference it is checked against.
 
 
@@ -286,12 +287,6 @@ def reference_contains(kind: str, gen: Optional[Poly], a: RingElem) -> bool:
     if kind == "zero":
         return a.is_zero()
     return gen.divides(a.rep)
-
-
-def reference_contains_ideal(kind: str, gen: Optional[Poly], ideal_gen: Poly) -> bool:
-    if kind == "zero":
-        return ideal_gen.is_zero()
-    return ideal_gen.is_zero() or gen.divides(ideal_gen)
 
 
 def reference_prime_in(kind: str, gen: Optional[Poly], closed_gen: Poly) -> bool:
@@ -309,6 +304,14 @@ def reference_compatible(cross: RingElem, g: RingElem) -> bool:
     """Whether cross is 0 on D(g), as the library decided it before the local
     modulus: g lies in the real radical of the annihilator of cross."""
     return real_radical_member(annihilator(cross), g)
+
+
+def reference_stalk_eq(e1: StalkElement, e2: StalkElement) -> bool:
+    """Whether two germs at one prime agree, as the library decided it before
+    p^e | cross: the annihilator of the cross difference is not inside the
+    prime."""
+    cross = e1.numerator * e2.denominator - e2.numerator * e1.denominator
+    return not e1.prime.gen.divides(annihilator(cross).gen)
 
 
 # Factorization, real part and V(I) as the library computed them before it

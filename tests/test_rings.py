@@ -255,7 +255,7 @@ class TestRealRadical:
             ideal = ring.ideal(random_elem(rng, ring, 4))
             rad = real_radical(ideal)
             containing = [
-                p.gen for p in enumerate_primes(ring) if p.contains_ideal(ideal)
+                p.gen for p in enumerate_primes(ring) if p.contains(ring.elem(ideal.gen))
             ]
             if not containing:
                 assert rad.gen == Poly.one()
