@@ -12,7 +12,8 @@ There is no general division; NAT '/' NAT is an exact rational literal.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside Python's recursion limit. A power or a product is
 checked against MAX_EXPONENT and MAX_POWER_SIZE (`_check_size`) before it
-is expanded.
+is expanded, and the sizes of one expression's products and powers of
+polynomials with two or more terms add up to at most MAX_EXPRESSION_SIZE.
 Ring descriptions are "Q[x]" or "Q[x]/(<poly>)". Printing (Poly.__str__)
 round-trips through parse_poly.
 """
@@ -32,29 +33,8 @@ MAX_NESTING = 100
 #: Budget for `_check_size`; the largest admissible power, (x+1)^1023, takes about
 #: 0.2 s on a 2-vCPU x86_64 host.
 MAX_POWER_SIZE = 1 << 20
-
-
-def _check_size(factors: list[tuple[Poly, int]], what: str, column: int) -> None:
-    """Refuse, before it is expanded, a product of powers base^n over the
-    pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size exceeds
-    MAX_POWER_SIZE. A power is one pair, a product p*q the pairs (p, 1), (q, 1).
-
-    The size bounds the work from the coefficient bits, at most the sum of
-    n*log2(base.height). A product of monomials is a shift, so its bits are
-    its size. Any other result has deg+1 coefficients of at most that many
-    bits, and squaring or convolving takes (deg+1)^2 products however small
-    they are, so the bits count at least deg+1 each.
-    """
-    degree, bits = 0, 0.0
-    for base, n in factors:
-        degree += max(base.degree, 0) * n
-        bits += n * math.log2(base.height)
-    if degree > MAX_EXPONENT:
-        raise ParseError(f"{what} has degree above {MAX_EXPONENT}", column)
-    if any(base.terms > 1 for base, _ in factors):
-        bits = (degree + 1) * max(degree + 1, bits)
-    if bits > MAX_POWER_SIZE:
-        raise ParseError(f"{what} has size above {MAX_POWER_SIZE} bits", column)
+#: Budget for the sizes of one expression's dense products and powers together.
+MAX_EXPRESSION_SIZE = 4 * MAX_POWER_SIZE
 
 
 @dataclass(frozen=True)
@@ -97,6 +77,35 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.size = 0  # what `_check_size` has admitted so far
+
+    def _check_size(self, factors: list[tuple[Poly, int]], what: str, column: int) -> None:
+        """Refuse, before it is expanded, a product of powers base^n over the
+        pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size
+        exceeds MAX_POWER_SIZE, or that takes the expression's total past
+        MAX_EXPRESSION_SIZE. A power is one pair, a product p*q the pairs
+        (p, 1), (q, 1).
+
+        The size bounds the work from the coefficient bits, at most the sum
+        of n*log2(base.height). A product of monomials is a shift, so its
+        bits are its size. Any other result has deg+1 coefficients of at most
+        that many bits, and squaring or convolving takes (deg+1)^2 products
+        however small they are, so the bits count at least deg+1 each; only
+        these quadratic sizes count towards the total.
+        """
+        degree, bits = 0, 0.0
+        for base, n in factors:
+            degree += max(base.degree, 0) * n
+            bits += n * math.log2(base.height)
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"{what} has degree above {MAX_EXPONENT}", column)
+        if any(base.terms > 1 for base, _ in factors):
+            bits = (degree + 1) * max(degree + 1, bits)
+            self.size += bits
+        if bits > MAX_POWER_SIZE:
+            raise ParseError(f"{what} has size above {MAX_POWER_SIZE} bits", column)
+        if self.size > MAX_EXPRESSION_SIZE:
+            raise ParseError(f"expression has size above {MAX_EXPRESSION_SIZE} bits", column)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -137,7 +146,7 @@ class _Parser:
             if tok.kind == "op" and tok.text == "*":
                 self.advance()
                 rhs = self.unary()
-                _check_size([(value, 1), (rhs, 1)], "product", tok.column)
+                self._check_size([(value, 1), (rhs, 1)], "product", tok.column)
                 value = value * rhs
             else:
                 return value
@@ -162,7 +171,7 @@ class _Parser:
             exponent = int(exp_tok.text)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
-            _check_size([(base, exponent)], "power", exp_tok.column)
+            self._check_size([(base, exponent)], "power", exp_tok.column)
             return base**exponent
         return base
 

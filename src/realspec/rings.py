@@ -9,8 +9,9 @@ certificate of the library is one `Certificate`, standing for the one
 identity sum(coeffs[i] * gens[i]) = f^(2m) + sum of squares, the real
 Nullstellensatz witness that f lies in the real radical of the ideal the
 gens generate; `verify_certificate` is its one verifier. `find_certificate`
-builds one, with no search, for every member of a principal ideal's real
-radical (see its docstring for the proof), and `combination_certificate`
+builds one, with no search, for every member a of a principal ideal's real
+radical, always of the one shape a^(2m) * (1 + T) with T a weighted sum of
+squares (see its docstring for the proof), and `combination_certificate`
 spreads it over a whole family of generators.
 """
 
@@ -391,17 +392,6 @@ def _multiplicity(p: Poly, q: Poly) -> int:
         rem = quo
 
 
-def _least_even_power(gen_factors, a_lift: Poly) -> Optional[int]:
-    """Least m with gen | a^(2m), from multiplicities; None if impossible."""
-    m = 1
-    for p, e in gen_factors:
-        va = _multiplicity(a_lift, p)
-        if va == 0:
-            return None
-        m = max(m, -(-e // (2 * va)))  # ceil division
-    return m
-
-
 def _merge(terms, mod: Poly) -> Weighted:
     """Reduce each h mod `mod`, make it monic (its leading coefficient
     squared moves into the weight) and add up the weights of equal h."""
@@ -412,21 +402,6 @@ def _merge(terms, mod: Poly) -> Weighted:
             key = h.monic()
             acc[key] = acc.get(key, Fraction(0)) + w * h.leading * h.leading
     return [(w, h) for h, w in acc.items()]
-
-
-def _compose_components(
-    a_lift: Poly, parts: Sequence[tuple[int, Weighted]], mod: Poly
-) -> tuple[int, Weighted]:
-    """Multiply witnesses (a^(2m_i) + S_i) into a single (m, S), reduced mod `mod`."""
-    m_acc, sos_acc = parts[0]
-    for m_i, sos_i in parts[1:]:
-        pow_acc = a_lift**m_acc
-        pow_i = a_lift**m_i
-        merged = [(w, pow_acc * t) for w, t in sos_i]
-        merged += [(w, pow_i * t) for w, t in sos_acc]
-        merged += [(w * v, t * s) for w, t in sos_acc for v, s in sos_i]
-        m_acc, sos_acc = m_acc + m_i, _merge(merged, mod)
-    return m_acc, sos_acc
 
 
 def _positive_definite(p: Poly) -> bool:
@@ -543,17 +518,24 @@ def _neg_one_sos_mod(p: Poly) -> Weighted:
     return _merge(((w / w_j, h * inverse) for w, h in terms), p)
 
 
-def _unit_part(a_lift: Poly, p: Poly, e: int) -> Weighted:
-    """S with a^2 + S = 0 mod p^e, for p without real roots and not dividing a:
-    (1 + S_p)^e = 0 mod p^e, times a^2."""
-    target = p**e
-    one_plus = _merge([(Fraction(1), Poly.one())] + _neg_one_sos_mod(p), target)
-    power = one_plus
-    for _ in range(e - 1):
-        power = _merge(((w * v, t * s) for w, t in power for v, s in one_plus), target)
-    # the product of the 1s contributes exactly 1 to the weight of the monic h = 1
-    power = [(w - 1, t) if t.is_one() else (w, t) for w, t in power]
-    return _merge(((w, a_lift * t) for w, t in power if w), target)
+def _neg_one_mod(parts: Sequence[tuple[Poly, int]]) -> Weighted:
+    """T with 1 + T = 0 mod U, the product of the p^e over the parts, each p
+    monic irreducible without real roots; [] for no parts. S comes from
+    prod(1 + S_p) = 1 + S, expanded as (1 + S)(1 + S_p) = 1 + S + S_p + S*S_p,
+    and T = S * w^2 with w the lift of find_certificate's proof.
+    """
+    rest = math.prod((p**e for p, e in parts), start=Poly.one())
+    top, sos = max((e for _, e in parts), default=1), []
+    for p, _ in parts:
+        s_p = _neg_one_sos_mod(p)
+        sos = _merge(sos + s_p + [(w * v, t * s) for w, t in sos for v, s in s_p], rest)
+    u = Poly.one()
+    for w, t in sos:
+        u = u + (t * t).scale(w)
+    lift = Poly.zero()
+    for k in range(top - 1, -1, -1):  # Horner in u
+        lift = (lift * u + Poly.const(Fraction(math.comb(2 * k, k), 4**k))) % rest
+    return _merge(((w, t * lift) for w, t in sos), rest)
 
 
 def _squares(terms: Weighted) -> list[Poly]:
@@ -575,17 +557,24 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     a^(2m) + sum(s_i^2) = cofactor * gen for every member: a `Certificate`
     with f = a, the one gen ring.elem(gen) and the one coefficient cofactor.
 
-    The witness is built per prime power p^e of gen, and the parts
-    a^(2m_i) + S_i, each 0 mod its p^e, are multiplied together:
-    - p divides a to order v: a^(2*ceil(e/2v)) is already 0 mod p^e.
-    - p does not divide a: membership says p has no real root, so the
-      monic irreducible p is positive on R and (Artin-Schreier; over Q,
-      Pourchet) p = sum(w_i * h_i^2) with rationals w_i > 0 and
-      deg h_i <= deg(p)/2. A nonzero h_j has degree below deg p, so it is
-      coprime to the irreducible p and invertible mod p; dividing by
-      w_j * h_j^2 gives 1 + S = 0 mod p with
-      S = sum_{i != j} (w_i/w_j) * (h_i/h_j)^2. Then (1 + S)^e = 0 mod p^e,
-      and a^2 * (1 + S)^e is the part, with m_i = 1.
+    The witness is a^(2m) * (1 + T), built in one pass over the factors
+    p^e of gen. Those with p | a, to order v, make up gen / U, and
+    m = max(1, ceil(e / 2v)) over them makes a^(2m) = 0 mod gen / U. The
+    others make up U, and membership says none of them has a real root.
+    T is a weighted sum of squares with 1 + T = 0 mod U (`_neg_one_mod`), so
+    a^(2m) + sum(w * (a^m * h)^2) = 0 mod gen:
+    - a monic irreducible p without real roots is positive on R, so
+      (Artin-Schreier; over Q, Pourchet) p = sum(w_i * h_i^2) with rationals
+      w_i > 0 and deg h_i <= deg(p)/2. A nonzero h_j has degree below deg p,
+      so it is invertible mod the irreducible p; dividing by w_j * h_j^2
+      gives 1 + S_p = 0 mod p with S_p = sum_{i != j} (w_i/w_j) * (h_i/h_j)^2.
+    - u = prod(1 + S_p) over the distinct p of U is 1 + S with S a weighted
+      sum of squares, and u = 0 mod every p, so u^e = 0 mod U for the
+      largest multiplicity e.
+    - w = sum_{k<e} C(2k,k)/4^k * u^k is (1 - u)^(-1/2) cut at u^e, so
+      w^2 = sum_{k<e} u^k mod u^e and (1 - u) * w^2 = 1 - u^e = 1 mod U.
+      As 1 - u = -S, T = S * w^2 has 1 + T = 0 mod U, with S's weights and
+      number of terms. For e = 1, w = 1; for U = 1, T is empty.
     The weighted sum of squares of p comes from completing the square
     exactly, or else from univsos2 (`_perturbed_sos`). Weights become
     plain squares once, at the end: a square weight as one term, any other
@@ -615,25 +604,16 @@ def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, Rin
     if gen.is_one():
         return 1, SumOfSquares(), ring.elem(a_lift * a_lift)
 
-    gen_factors = factor(gen).factors
-
-    # fast path: every irreducible factor of gen is real-rooted, so some even
-    # power of a is already an exact multiple of gen
-    if all(has_real_root(p) for p, _ in gen_factors):
-        m = _least_even_power(gen_factors, a_lift)
-        if m is None:
-            raise AssertionError("membership guarantees divisibility by real factors")
-        return m, SumOfSquares(), ring.elem(a_lift ** (2 * m) // gen)
-
-    parts: list[tuple[int, Weighted]] = []
-    for p, e in gen_factors:
-        va = _multiplicity(a_lift, p)
-        if va > 0:
-            parts.append((-(-e // (2 * va)), []))
+    m, parts = 1, []
+    for p, e in factor(gen).factors:
+        v = _multiplicity(a_lift, p)
+        if v:
+            m = max(m, -(-e // (2 * v)))  # a^(2m) is 0 mod p^e
         else:
-            parts.append((1, _unit_part(a_lift, p, e)))
-    m, weighted = _compose_components(a_lift, parts, gen)
-    v = a_lift ** (2 * m)
+            parts.append((p, e))  # membership: p has no real root
+    a_m = a_lift**m
+    weighted = _merge(((w, a_m * t) for w, t in _neg_one_mod(parts)), gen)
+    v = a_m * a_m
     for w, h in weighted:
         v = v + (h * h).scale(w)
     sos = SumOfSquares(tuple(ring.elem(t) for t in _squares(weighted)))

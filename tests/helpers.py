@@ -328,6 +328,20 @@ def reference_factor(p: Poly) -> Factorization:
     return Factorization(p.leading, tuple(pairs))
 
 
+def least_even_power(gen: Poly, a: Poly) -> int:
+    """max(1, ceil(e / 2v)) over the irreducible factors q^e of gen that
+    divide the nonzero a, with q^v exactly dividing a: the least m with
+    a^(2m) = 0 mod the part of gen that shares its factors with a. Both
+    factorizations come from sympy."""
+    in_a = {from_sympy(q).monic(): v for q, v in to_sympy(a).factor_list()[1]}
+    m = 1
+    for q, e in to_sympy(gen).factor_list()[1]:
+        v = in_a.get(from_sympy(q).monic(), 0)
+        if v:
+            m = max(m, -(-e // (2 * v)))
+    return m
+
+
 def reference_real_part(p: Poly) -> Poly:
     out = Poly.one()
     for q, _mult in reference_factor(p).factors:

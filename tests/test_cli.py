@@ -84,6 +84,12 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "column 11" in err and "product has size" in err
 
+    def test_expression_size_budget(self, capsys):
+        # each product is within budget, five of them in one expression are not
+        code, out, err = run(capsys, "sturm", "+".join(["(x+1)^511*(x+1)^512"] * 5))
+        assert (code, out) == (2, "")
+        assert "column 50" in err and "expression has size" in err
+
     def test_precondition_violation(self, capsys):
         code, _, err = run(capsys, "subcover", "--f", "x^2-1", "x+2")
         assert code == 3
@@ -518,7 +524,7 @@ class TestExponentBudget:
 # for seeds 0-2: each command with and without --json, then `cert verify` of
 # each document it emitted; pinned so that refactors of the certificate
 # layer cannot change a byte of output
-CERTIFY_CORPUS_SHA256 = "9950b45f4bfd7743b73594c8104bcd809dbb9ef0cd944431b78f99efa0a6932b"
+CERTIFY_CORPUS_SHA256 = "488d6b8929d2acda5d08eafac570d2ff368119adce7fd7eadf56ff91059beac8"
 RUNS = 396
 
 
@@ -572,7 +578,7 @@ class TestPinnedOutput:
         # the zero ideal's generator is the modulus, which is 0 as a ring element
         assert code == 0 and doc == {
             "kind": "real-radical", "ring": "Q[x]/(x^4 + x^2)", "ideal": "x^4 + x^2",
-            "element": "x", "m": 2, "sos": ["x"], "cofactor": "1",
+            "element": "x", "m": 1, "sos": ["x^2"], "cofactor": "1",
         }
 
 

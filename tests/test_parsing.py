@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realspec import DomainError, ParseError, Poly, Ring, parse_poly, parse_ring
-from realspec.parsing import MAX_EXPONENT, MAX_NESTING, MAX_POWER_SIZE
+from realspec.parsing import MAX_EXPONENT, MAX_EXPRESSION_SIZE, MAX_NESTING, MAX_POWER_SIZE
 
 
 class TestParse:
@@ -92,6 +92,17 @@ class TestParse:
                 parse_poly(text)
             assert err.value.column == column
             assert f"product has {what}" in str(err.value)
+
+    def test_expression_size_budget(self):
+        # the sizes of one expression's dense products and powers add up:
+        # (x+1)^511*(x+1)^512 is about 1.57 M, so two copies fit and five do not
+        assert MAX_EXPRESSION_SIZE == 4 * MAX_POWER_SIZE
+        one = "(x+1)^511*(x+1)^512"
+        assert parse_poly(one).degree == 1023
+        with pytest.raises(ParseError) as err:
+            parse_poly("+".join([one] * 5))
+        assert "expression has size" in str(err.value)
+        assert err.value.column == 2 * (len(one) + 1) + 10  # the '*' of the third copy
 
     def test_error_columns(self):
         with pytest.raises(ParseError) as err:

@@ -28,10 +28,13 @@ from realspec.rings import RingElem, combination_certificate, ideal_sum
 from helpers import (
     from_sympy,
     lcm,
+    least_even_power,
     random_dense_product,
     random_elem,
     random_real_quotient,
     random_structured_poly,
+    route_factors,
+    route_products,
     to_sympy,
 )
 
@@ -44,15 +47,22 @@ KNOWN_HARD_MEMBERS = [("x^4+x^2+7", "x"), ("(x^2+3)^2*(x-1)", "x-1"), ("x^6+x+9"
 
 
 @st.composite
-def nonreal_power_times_linears(draw):
-    """(ring, gen, a): gen = p^e times real-rooted linear factors, with p monic
-    irreducible of degree 2..8 and no real root (s^2 + t^2 + c, c > 0), e <= 3,
-    and a a member: a multiple of every linear factor of gen."""
+def nonreal_primes(draw):
+    """p monic irreducible of degree 2..8 without a real root: s^2 + t^2 + c, c > 0."""
     d = draw(st.integers(1, 4))
     s = Poly(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)) + [1])
     t = Poly(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
     p = s * s + t * t + Poly.const(draw(st.integers(1, 5)))
     assume(is_irreducible(p))
+    return p
+
+
+@st.composite
+def nonreal_power_times_linears(draw):
+    """(ring, gen, a): gen = p^e times real-rooted linear factors, with p from
+    `nonreal_primes` and e <= 3, and a a member: a multiple of every linear
+    factor of gen."""
+    p = draw(nonreal_primes())
     gen = p ** draw(st.integers(1, 3))
     a = Poly([draw(st.integers(1, 3))] + draw(st.lists(st.integers(-3, 3), max_size=2)))
     for r in draw(st.lists(st.integers(-3, 3), max_size=2, unique=True)):
@@ -62,6 +72,17 @@ def nonreal_power_times_linears(draw):
         a = a * p
     ring = Ring.quotient(gen * Poly([7, 1])) if draw(st.booleans()) else BASE
     return ring, gen, a
+
+
+@st.composite
+def nonreal_prime_and_linears(draw):
+    """(p, e, L): p from `nonreal_primes`, e in {2, 3}, and L a product of
+    0..2 distinct monic linear factors."""
+    p = draw(nonreal_primes())
+    linears = Poly.one()
+    for r in draw(st.lists(st.integers(-3, 3), max_size=2, unique=True)):
+        linears = linears * Poly([-r, 1])
+    return p, draw(st.integers(2, 3)), linears
 
 
 def quot(text):
@@ -409,6 +430,40 @@ class TestCertificates:
         out = find_certificate(ring.ideal(gen), ring.elem(a))
         assert out.found
         assert verify_certificate(out.certificate)
+
+    @given(nonreal_prime_and_linears())
+    @settings(max_examples=25, deadline=None)
+    def test_repeated_nonreal_factor_keeps_the_square_count(self, case):
+        # the lift of -1 to p^e keeps the terms of -1 mod p, and each term is
+        # at most four squares (Lagrange), so the count grows at most 4x
+        p, e, linears = case
+        a = BASE.elem(linears)
+        once = find_certificate(BASE.ideal(p * linears), a).certificate
+        repeated = find_certificate(BASE.ideal(p**e * linears), a).certificate
+        assert repeated.m == once.m == 1
+        assert len(repeated.sos.terms) <= 4 * len(once.sos.terms)
+
+    def test_cubed_degree_eight_factor(self):
+        # the lift keeps the cube near the first power: m = 1 and 28 squares
+        gen, a = P("(x^8+x^3+5)^3*(x-1)*(x+2)"), P("(x-1)*(x+2)")
+        out = find_certificate(BASE.ideal(gen), BASE.elem(a))
+        assert out.found and out.certificate.m == 1
+        assert len(out.certificate.sos.terms) <= 40
+        assert verify_certificate(out.certificate)
+
+    @given(route_products(), route_factors(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_exponent_is_the_least_even_power(self, gen, extra, in_quotient):
+        # every real-rooted factor of gen divides a, so a is a member
+        ring = Ring.quotient(gen.monic() * P("x+7")) if in_quotient else BASE
+        a = real_part(gen)
+        for q, k in extra:
+            a = a * q**k
+        a = ring.elem(a)
+        assume(not a.is_zero())
+        out = find_certificate(ring.ideal(gen), a)
+        assert out.found and verify_certificate(out.certificate)
+        assert out.certificate.m == least_even_power(ring.ideal(gen).gen, a.rep)
 
 
 small_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(Poly)
