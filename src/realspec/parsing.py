@@ -16,13 +16,24 @@ is expanded, and the sizes of one expression's products and powers of
 polynomials with two or more terms add up to at most MAX_EXPRESSION_SIZE.
 Ring descriptions are "Q[x]" or "Q[x]/(<poly>)". Printing (Poly.__str__)
 round-trips through parse_poly.
+
+One compiled regex reads the tokens as plain strings once `_INVALID` finds
+no other character than decimal digits (as for `int`), operators, x and
+space; a column is worked out only for an error. A value of at most one term
+stays a monomial (num, den, k) for num/den * x^k through products, powers
+and negation, and a sum adds all its terms in one integer pass (`Poly.sum`,
+which takes monomials as they are); Polys are built only through Poly's
+public methods. For monomials alone `_check_size` returns early, exactly,
+when sum(n * (bit lengths of num and den)) <= MAX_POWER_SIZE: that bounds
+sum(n * log2(height)), and monomials never add to the expression's total.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from typing import Union
 
 from .errors import ParseError
 from .polynomials import Poly
@@ -36,55 +47,61 @@ MAX_POWER_SIZE = 1 << 20
 #: Budget for the sizes of one expression's dense products and powers together.
 MAX_EXPRESSION_SIZE = 4 * MAX_POWER_SIZE
 
+_TOKEN = re.compile(r"\d+|[-+*^()/x]")
+_INVALID = re.compile(r"[^\d\s+\-*^()/x]")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'x', 'op', 'end'
-    text: str
-    column: int  # 1-based
+#: A parsed value: a monomial (num, den, k) for num/den * x^k, with den > 0,
+#: gcd(num, den) = 1 and zero as (0, 1, 0), or a Poly of two or more terms.
+Value = Union[tuple, Poly]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], col))
-            i = j
-        elif ch == "x":
-            tokens.append(_Token("x", ch, col))
-            i += 1
-        elif ch in "+-*^()/":
-            tokens.append(_Token("op", ch, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", col)
-    tokens.append(_Token("end", "", n + 1))
-    return tokens
+def _poly(value: Value) -> Poly:
+    if type(value) is not tuple:
+        return value
+    num, den, k = value
+    return Poly.monomial(Fraction(num, den), k)
+
+
+def _value(p: Poly) -> Value:
+    if p.terms > 1:
+        return p
+    c = 0 if p.is_zero() else p.leading
+    return (c.numerator, c.denominator, p.degree) if c else (0, 1, 0)
+
+
+def _neg(value: Value) -> Value:
+    return (-value[0], value[1], value[2]) if type(value) is tuple else -value
+
+
+def _mul(a: Value, b: Value) -> Value:
+    if type(a) is not tuple or type(b) is not tuple:
+        return _value(_poly(a) * _poly(b))  # a monomial only if zero
+    num, den = a[0] * b[0], a[1] * b[1]
+    g = math.gcd(num, den)
+    return (num // g, den // g, a[2] + b[2]) if num else (0, 1, 0)
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        invalid = _INVALID.search(text)
+        if invalid:
+            raise ParseError(f"unexpected character {invalid.group()!r}", invalid.start() + 1)
+        self.tokens = _TOKEN.findall(text) + [""]  # "" is the end
         self.depth = 0
         self.size = 0  # what `_check_size` has admitted so far
 
-    def _check_size(self, factors: list[tuple[Poly, int]], what: str, column: int) -> None:
+    def _error(self, message: str, index: int) -> ParseError:
+        """The refusal at the token at index, by 1-based column; the end is one past the text."""
+        starts = [match.start() + 1 for match in _TOKEN.finditer(self.text)] + [len(self.text) + 1]
+        return ParseError(message, starts[index])
+
+    def _check_size(self, factors: tuple[tuple[Value, int], ...], what: str, index: int) -> None:
         """Refuse, before it is expanded, a product of powers base^n over the
         pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size
         exceeds MAX_POWER_SIZE, or that takes the expression's total past
         MAX_EXPRESSION_SIZE. A power is one pair, a product p*q the pairs
-        (p, 1), (q, 1).
+        (p, 1), (q, 1); the error points at the token at index.
 
         The size bounds the work from the coefficient bits, at most the sum
         of n*log2(base.height). A product of monomials is a shift, so its
@@ -93,118 +110,109 @@ class _Parser:
         however small they are, so the bits count at least deg+1 each; only
         these quadratic sizes count towards the total.
         """
-        degree, bits = 0, 0.0
+        monomials, degree, bit_lengths = True, 0, 0
         for base, n in factors:
-            degree += max(base.degree, 0) * n
-            bits += n * math.log2(base.height)
+            if type(base) is tuple:
+                degree += base[2] * n
+                bit_lengths += n * (base[0].bit_length() + base[1].bit_length())
+            else:
+                monomials = False
+                degree += base.degree * n
         if degree > MAX_EXPONENT:
-            raise ParseError(f"{what} has degree above {MAX_EXPONENT}", column)
-        if any(base.terms > 1 for base, _ in factors):
+            raise self._error(f"{what} has degree above {MAX_EXPONENT}", index)
+        if monomials and bit_lengths <= MAX_POWER_SIZE:
+            return
+        bits = 0.0
+        for base, n in factors:
+            height = max(abs(base[0]), base[1]) if type(base) is tuple else base.height
+            bits += n * math.log2(height)
+        if not monomials:
             bits = (degree + 1) * max(degree + 1, bits)
             self.size += bits
         if bits > MAX_POWER_SIZE:
-            raise ParseError(f"{what} has size above {MAX_POWER_SIZE} bits", column)
+            raise self._error(f"{what} has size above {MAX_POWER_SIZE} bits", index)
         if self.size > MAX_EXPRESSION_SIZE:
-            raise ParseError(f"expression has size above {MAX_EXPRESSION_SIZE} bits", column)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.column)
-        return self.advance()
+            raise self._error(f"expression has size above {MAX_EXPRESSION_SIZE} bits", index)
 
     def parse(self) -> Poly:
-        value = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.column)
-        return value
+        value, pos = self.expr(0)
+        if self.tokens[pos]:
+            raise self._error(f"unexpected {self.tokens[pos]!r}", pos)
+        return _poly(value)
 
-    def expr(self) -> Poly:
-        value = self.term()
+    def expr(self, pos: int) -> tuple[Value, int]:
+        """The sum of the terms from token pos on, and the position after it.
+        A term is the product of its factors, a factor '-'* atom ['^' NAT],
+        and the atoms are NAT ['/' NAT], 'x' and '(' expr ')'."""
+        tokens = self.tokens
+        terms, op = [], "+"
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if tok.text == "+" else value - rhs
-            else:
-                return value
+            value, index = None, 0
+            while True:
+                start = pos
+                while tokens[pos] == "-":
+                    pos += 1
+                negations = pos - start
+                atom = tokens[pos]
+                pos += 1
+                if atom == "x":
+                    rhs = (1, 1, 1)
+                elif atom.isdecimal():
+                    rhs = (int(atom), 1, 0)
+                    if tokens[pos] == "/":
+                        if not tokens[pos + 1].isdecimal():
+                            raise self._error("expected an integer denominator", pos + 1)
+                        den, pos = int(tokens[pos + 1]), pos + 2
+                        if den == 0:
+                            raise self._error("zero denominator", pos - 1)
+                        g = math.gcd(rhs[0], den)
+                        rhs = (rhs[0] // g, den // g, 0)
+                elif atom == "(":
+                    rhs, pos = self.parenthesized(pos)
+                else:
+                    raise self._error("expected a number, 'x' or '('", pos - 1)
+                if tokens[pos] == "^":
+                    rhs, pos = self.power(rhs, pos + 1)
+                if negations % 2:
+                    rhs = _neg(rhs)
+                if value is None:
+                    value = rhs
+                else:
+                    self._check_size(((value, 1), (rhs, 1)), "product", index)
+                    value = _mul(value, rhs)
+                if tokens[pos] != "*":
+                    break
+                index = pos
+                pos += 1
+            terms.append(value if op == "+" else _neg(value))
+            op = tokens[pos]
+            if op != "+" and op != "-":
+                return (terms[0] if len(terms) == 1 else _value(Poly.sum(terms))), pos
+            pos += 1
 
-    def term(self) -> Poly:
-        value = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                rhs = self.unary()
-                self._check_size([(value, 1), (rhs, 1)], "product", tok.column)
-                value = value * rhs
-            else:
-                return value
+    def power(self, base: Value, pos: int) -> tuple[Value, int]:
+        """base ^ the exponent at token pos."""
+        text = self.tokens[pos]
+        if not text.isdecimal():
+            raise self._error("expected a nonnegative integer exponent", pos)
+        exponent = int(text)
+        if exponent > MAX_EXPONENT:
+            raise self._error(f"exponent exceeds {MAX_EXPONENT}", pos)
+        self._check_size(((base, exponent),), "power", pos)
+        if type(base) is tuple:  # coprime powers stay coprime, and 0^0 = 1
+            return (base[0] ** exponent, base[1] ** exponent, base[2] * exponent), pos + 1
+        return (base**exponent if exponent else (1, 1, 0)), pos + 1
 
-    def unary(self) -> Poly:
-        negations = 0
-        while self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            negations += 1
-        value = self.power()
-        return -value if negations % 2 else value
-
-    def power(self) -> Poly:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exp_tok = self.peek()
-            if exp_tok.kind != "int":
-                raise ParseError("expected a nonnegative integer exponent", exp_tok.column)
-            self.advance()
-            exponent = int(exp_tok.text)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
-            self._check_size([(base, exponent)], "power", exp_tok.column)
-            return base**exponent
-        return base
-
-    def atom(self) -> Poly:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            num = int(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    raise ParseError("expected an integer denominator", den_tok.column)
-                self.advance()
-                den = int(den_tok.text)
-                if den == 0:
-                    raise ParseError("zero denominator", den_tok.column)
-                return Poly.const(Fraction(num, den))
-            return Poly.const(Fraction(num))
-        if tok.kind == "x":
-            self.advance()
-            return Poly.x()
-        if tok.kind == "op" and tok.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.column)
-            self.advance()
-            self.depth += 1
-            inner = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(f"expected a number, 'x' or '('", tok.column)
+    def parenthesized(self, pos: int) -> tuple[Value, int]:
+        """The expression from token pos on, up to its ')'."""
+        if self.depth == MAX_NESTING:
+            raise self._error(f"parentheses nest deeper than {MAX_NESTING}", pos - 1)
+        self.depth += 1
+        inner, pos = self.expr(pos)
+        if self.tokens[pos] != ")":
+            raise self._error("expected ')'", pos)
+        self.depth -= 1
+        return inner, pos + 1
 
 
 def parse_poly(text: str) -> Poly:

@@ -9,7 +9,8 @@ an integer convolution times the product of the contents; ``+`` takes one
 integer gcd; division is integer long division that scales by the
 divisor's leading entry only when it does not divide the current leading
 term (a monic integer modulus never scales). ``coeffs`` builds
-``Fraction``s on demand, for printing and ordering.
+``Fraction``s on demand, for ordering; printing reduces each coefficient
+with one integer gcd.
 
 On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
@@ -44,7 +45,8 @@ from .errors import DomainError
 #: below every integer degree; never a -1 sentinel.
 NEG_INF = float("-inf")
 
-#: Entries each of the three number-theoretic caches keeps.
+#: Entries each cache keeps: factor, root count and real part here, and -1 as
+#: a sum of squares mod a prime (`rings._neg_one_sos_mod`).
 CACHE_SIZE = 1 << 12
 
 Coeff = Union[Fraction, int]
@@ -161,6 +163,26 @@ class Poly:
             out[i] += fb * y
         return _canonical(out, 1, da // g * db)
 
+    @staticmethod
+    def sum(terms: Sequence[Union["Poly", tuple[int, int, int]]]) -> "Poly":
+        """The sum of the terms in one integer pass; a term is a Poly or a
+        monomial num/den * x^k given as (num, den, k) with den > 0."""
+        den, top = 1, 0
+        for t in terms:
+            d, degree = (t[1], t[2]) if type(t) is tuple else (t._c.denominator, len(t._p) - 1)
+            if d != 1:
+                den = math.lcm(den, d)
+            top = degree if degree > top else top
+        out = [0] * (top + 1)
+        for t in terms:
+            if type(t) is tuple:
+                out[t[2]] += t[0] * (den // t[1])
+            else:
+                f = t._c.numerator * (den // t._c.denominator)
+                for i, y in enumerate(t._p):
+                    out[i] += f * y
+        return _canonical(out, 1, den)
+
     def __neg__(self) -> "Poly":
         return _make(-self._c, self._p)
 
@@ -173,8 +195,8 @@ class Poly:
             return _ZERO
         if len(a) < len(b):
             a, b = b, a
-        if len(b) == 1:
-            return _make(self._c * other._c, a)
+        if b.count(0) == len(b) - 1:  # times a monomial is a shift
+            return _make(self._c * other._c, b[:-1] + a)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(b):
             if x:
@@ -268,16 +290,18 @@ class Poly:
         if not self._p:
             return "0"
         parts: list[str] = []
-        coeffs = self.coeffs
-        for power in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[power]
-            if c == 0:
+        num, den = self._c.numerator, self._c.denominator
+        for power in range(len(self._p) - 1, -1, -1):
+            n = num * self._p[power]
+            if not n:
                 continue
-            body = _term_str(abs(c), power)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            g = math.gcd(n, den)
+            c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            if power:
+                xpart = "x" if power == 1 else f"x^{power}"
+                c = xpart if c == "1" else f"{c}*{xpart}"
+            parts.append(f"- {c}" if n < 0 else f"+ {c}")
+        parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -308,15 +332,6 @@ def _canonical(ints: list[int], num: int, den: int) -> Poly:
     if g != 1:
         ints = [x // g for x in ints]
     return _make(Fraction(num * g, den), tuple(ints))
-
-
-def _term_str(c: Fraction, power: int) -> str:
-    if power == 0:
-        return str(c)
-    xpart = "x" if power == 1 else f"x^{power}"
-    if c == 1:
-        return xpart
-    return f"{c}*{xpart}"
 
 
 _ZERO = _make(Fraction(0), ())
@@ -439,7 +454,7 @@ def is_irreducible(p: Poly) -> bool:
 
 
 def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots, by Sturm's theorem on the squarefree part."""
+    """Number of distinct real roots, by Sturm's theorem."""
     if p.is_zero():
         raise DomainError("root count of the zero polynomial is undefined")
     return _count_real_roots_cached(p._p)
@@ -449,8 +464,10 @@ def count_real_roots(p: Poly) -> int:
 def _count_real_roots_cached(prim: tuple[int, ...]) -> int:
     # Primitive Sturm sequence over ZZ: each pseudo-remainder lc(g)^(d+1) * r
     # is scaled back to a positive multiple of the true remainder r, then
-    # negated and divided by its content.
-    seq = [dup_sqf_part(list(reversed(prim)), ZZ)]
+    # negated and divided by its content. p needs no squarefree part: the
+    # last entry is gcd(p, p'), which divides every entry and so changes no
+    # sign variation at +-inf.
+    seq = [list(reversed(prim))]
     if len(seq[0]) <= 1:
         return 0
     seq.append(dup_diff(seq[0], 1, ZZ))

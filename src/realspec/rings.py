@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
@@ -29,6 +29,7 @@ from sympy.solvers.diophantine.diophantine import sum_of_four_squares
 
 from .errors import DomainError, RingMismatchError
 from .polynomials import (
+    CACHE_SIZE,
     Poly,
     Factorization,
     bezout_many,
@@ -504,8 +505,10 @@ def _perturbed_sos(p: Poly) -> Weighted:
         return [(w, h) for w, h in out if w and not h.is_zero()]
 
 
-def _neg_one_sos_mod(p: Poly) -> Weighted:
-    """S with 1 + S = 0 mod p, for p monic irreducible without real roots.
+@lru_cache(maxsize=CACHE_SIZE)
+def _neg_one_sos_mod(p: Poly) -> tuple[tuple[Fraction, Poly], ...]:
+    """S with 1 + S = 0 mod p, for p monic irreducible without real roots;
+    cached per p, as a tuple that no caller can change.
 
     From p = sum(w_i * h_i^2): every h_i has degree below deg p, so a nonzero
     h_j is a unit mod the irreducible p, and dividing by w_j * h_j^2 gives
@@ -515,7 +518,7 @@ def _neg_one_sos_mod(p: Poly) -> Weighted:
     j = min(range(len(terms)), key=lambda i: terms[i][1].degree)  # a constant if any
     w_j, h_j = terms.pop(j)
     inverse = ext_gcd(h_j, p)[1]
-    return _merge(((w / w_j, h * inverse) for w, h in terms), p)
+    return tuple(_merge(((w / w_j, h * inverse) for w, h in terms), p))
 
 
 def _neg_one_mod(parts: Sequence[tuple[Poly, int]]) -> Weighted:
@@ -528,7 +531,7 @@ def _neg_one_mod(parts: Sequence[tuple[Poly, int]]) -> Weighted:
     top, sos = max((e for _, e in parts), default=1), []
     for p, _ in parts:
         s_p = _neg_one_sos_mod(p)
-        sos = _merge(sos + s_p + [(w * v, t * s) for w, t in sos for v, s in s_p], rest)
+        sos = _merge([*sos, *s_p, *((w * v, t * s) for w, t in sos for v, s in s_p)], rest)
     u = Poly.one()
     for w, t in sos:
         u = u + (t * t).scale(w)

@@ -6,11 +6,16 @@ when an interval isolates a single root. It takes squarefree parts with its
 own Euclid over the rationals, not with the library's integer gcd.
 `frac_mul` and `frac_divmod` are the Fraction-coefficient multiplication and
 long division that the integer kernel of `Poly` is checked against.
+`reference_parse_poly` is the token-object recursive descent that the
+one-pass parser replaced, and `reference_str` the Fraction printer that
+integer printing replaced; both are kept to compare against.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -32,7 +37,8 @@ from realspec import (
     has_real_root,
     real_radical_member,
 )
-from realspec.parsing import parse_poly
+from realspec.errors import ParseError
+from realspec.parsing import MAX_EXPONENT, MAX_EXPRESSION_SIZE, MAX_NESTING, MAX_POWER_SIZE, parse_poly
 
 
 def derivative(p: Poly) -> Poly:
@@ -384,3 +390,208 @@ def route_products(draw) -> Poly:
     for q, k in draw(route_factors()):
         p = p * q**k
     return p
+
+
+# ---------------------------------------------------------------------------
+# the parser and printer before polynomials were read in one pass and printed
+# from integers; the same grammar, budgets, messages and columns
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str  # 'int', 'x', 'op', 'end'
+    text: str
+    column: int  # 1-based
+
+
+def _reference_tokenize(text: str) -> list[_ReferenceToken]:
+    tokens: list[_ReferenceToken] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        col = i + 1
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(_ReferenceToken("int", text[i:j], col))
+            i = j
+        elif ch == "x":
+            tokens.append(_ReferenceToken("x", ch, col))
+            i += 1
+        elif ch in "+-*^()/":
+            tokens.append(_ReferenceToken("op", ch, col))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", col)
+    tokens.append(_ReferenceToken("end", "", n + 1))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.depth = 0
+        self.size = 0  # what `_check_size` has admitted so far
+
+    def _check_size(self, factors: list[tuple[Poly, int]], what: str, column: int) -> None:
+        """Refuse, before it is expanded, a product of powers base^n over the
+        pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size
+        exceeds MAX_POWER_SIZE, or that takes the expression's total past
+        MAX_EXPRESSION_SIZE. A power is one pair, a product p*q the pairs
+        (p, 1), (q, 1).
+
+        The size bounds the work from the coefficient bits, at most the sum
+        of n*log2(base.height). A product of monomials is a shift, so its
+        bits are its size. Any other result has deg+1 coefficients of at most
+        that many bits, and squaring or convolving takes (deg+1)^2 products
+        however small they are, so the bits count at least deg+1 each; only
+        these quadratic sizes count towards the total.
+        """
+        degree, bits = 0, 0.0
+        for base, n in factors:
+            degree += max(base.degree, 0) * n
+            bits += n * math.log2(base.height)
+        if degree > MAX_EXPONENT:
+            raise ParseError(f"{what} has degree above {MAX_EXPONENT}", column)
+        if any(base.terms > 1 for base, _ in factors):
+            bits = (degree + 1) * max(degree + 1, bits)
+            self.size += bits
+        if bits > MAX_POWER_SIZE:
+            raise ParseError(f"{what} has size above {MAX_POWER_SIZE} bits", column)
+        if self.size > MAX_EXPRESSION_SIZE:
+            raise ParseError(f"expression has size above {MAX_EXPRESSION_SIZE} bits", column)
+
+    def peek(self) -> _ReferenceToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _ReferenceToken:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str) -> _ReferenceToken:
+        tok = self.peek()
+        if tok.kind != "op" or tok.text != op:
+            raise ParseError(f"expected {op!r}", tok.column)
+        return self.advance()
+
+    def parse(self) -> Poly:
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", tok.column)
+        return value
+
+    def expr(self) -> Poly:
+        value = self.term()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text in "+-":
+                self.advance()
+                rhs = self.term()
+                value = value + rhs if tok.text == "+" else value - rhs
+            else:
+                return value
+
+    def term(self) -> Poly:
+        value = self.unary()
+        while True:
+            tok = self.peek()
+            if tok.kind == "op" and tok.text == "*":
+                self.advance()
+                rhs = self.unary()
+                self._check_size([(value, 1), (rhs, 1)], "product", tok.column)
+                value = value * rhs
+            else:
+                return value
+
+    def unary(self) -> Poly:
+        negations = 0
+        while self.peek().kind == "op" and self.peek().text == "-":
+            self.advance()
+            negations += 1
+        value = self.power()
+        return -value if negations % 2 else value
+
+    def power(self) -> Poly:
+        base = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exp_tok = self.peek()
+            if exp_tok.kind != "int":
+                raise ParseError("expected a nonnegative integer exponent", exp_tok.column)
+            self.advance()
+            exponent = int(exp_tok.text)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
+            self._check_size([(base, exponent)], "power", exp_tok.column)
+            return base**exponent
+        return base
+
+    def atom(self) -> Poly:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.advance()
+            num = int(tok.text)
+            nxt = self.peek()
+            if nxt.kind == "op" and nxt.text == "/":
+                self.advance()
+                den_tok = self.peek()
+                if den_tok.kind != "int":
+                    raise ParseError("expected an integer denominator", den_tok.column)
+                self.advance()
+                den = int(den_tok.text)
+                if den == 0:
+                    raise ParseError("zero denominator", den_tok.column)
+                return Poly.const(Fraction(num, den))
+            return Poly.const(Fraction(num))
+        if tok.kind == "x":
+            self.advance()
+            return Poly.x()
+        if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.column)
+            self.advance()
+            self.depth += 1
+            inner = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return inner
+        raise ParseError(f"expected a number, 'x' or '('", tok.column)
+
+
+def reference_parse_poly(text: str) -> Poly:
+    return _ReferenceParser(text).parse()
+
+
+def _term_str(c: Fraction, power: int) -> str:
+    if power == 0:
+        return str(c)
+    xpart = "x" if power == 1 else f"x^{power}"
+    if c == 1:
+        return xpart
+    return f"{c}*{xpart}"
+
+
+def reference_str(p: Poly) -> str:
+    if p.is_zero():
+        return "0"
+    parts: list[str] = []
+    coeffs = p.coeffs
+    for power in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[power]
+        if c == 0:
+            continue
+        body = _term_str(abs(c), power)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)

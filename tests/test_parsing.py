@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from realspec import DomainError, ParseError, Poly, Ring, parse_poly, parse_ring
 from realspec.parsing import MAX_EXPONENT, MAX_EXPRESSION_SIZE, MAX_NESTING, MAX_POWER_SIZE
 
+from helpers import reference_parse_poly, reference_str
+
 
 class TestParse:
     def test_examples(self):
@@ -115,6 +117,13 @@ class TestParse:
             parse_poly("x$1")
         assert err.value.column == 2
 
+    def test_only_decimal_digits_are_numbers(self):
+        # a superscript is a digit to str.isdigit but no int literal: refused, not a ValueError
+        with pytest.raises(ParseError) as err:
+            parse_poly("x^\u00b2")
+        assert err.value.column == 3 and "unexpected character '\u00b2'" in str(err.value)
+        assert parse_poly("x^\u0663") == Poly.monomial(1, 3)  # ARABIC-INDIC DIGIT THREE
+
     def test_nesting_depth(self):
         deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
         assert parse_poly(deepest) == Poly.x()
@@ -147,6 +156,88 @@ class TestRoundTrip:
         for text in ("0", "1", "-1", "x", "-x", "x^2 - 3*x + 1/2", "-1/2*x^7 + x"):
             p = parse_poly(text)
             assert parse_poly(str(p)) == p
+
+
+def _outcome(parse, text):
+    """The parsed Poly, or the refusal as (column, message)."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.column, str(err)
+
+
+def grammar_texts():
+    """Expressions of the grammar: parentheses, '^', unary '-' and a/b,
+    with and without spaces, exponents small enough to expand at once."""
+    atoms = st.one_of(
+        st.just("x"),
+        st.integers(0, 30).map(str),
+        st.tuples(st.integers(0, 30), st.integers(0, 9)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " - ", " * "]), inner).map("".join),
+            inner.map(lambda t: f"({t})"),
+            inner.map(lambda t: f"-{t}"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda tn: f"({tn[0]})^{tn[1]}"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda tn: f"{tn[0]}^{tn[1]}"),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+def printed_polys():
+    return st.lists(coeffs(), min_size=0, max_size=9).map(lambda cs: str(Poly(cs)))
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text with one character replaced, inserted or deleted."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from("0123456789x+-*^()/ \t$."))
+    how = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if how == "insert" or not text:
+        return text[:i] + char + text[i:]
+    i = min(i, len(text) - 1)
+    return text[:i] + (char if how == "replace" else "") + text[i + 1:]
+
+
+class TestAgainstReferenceParser:
+    """The one-pass parser against the token-object recursive descent it
+    replaced: equal Polys, or refusals with equal columns and messages."""
+
+    @given(st.one_of(printed_polys(), grammar_texts()))
+    @settings(max_examples=400, deadline=None)
+    def test_valid_texts(self, text):
+        assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
+
+    @given(mutated(st.one_of(printed_polys(), grammar_texts())))
+    @settings(max_examples=600, deadline=None)
+    def test_one_character_mutations(self, text):
+        assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text)
+
+    def test_budget_boundaries(self):
+        for text in (
+            "((2)^32)^32768", "((2)^32)^32769", "(x+1)^1023", "(x+1)^1024",
+            "(2)^65536*" * 15 + "(2)^65536", "(2)^65536*" * 16 + "(2)^65536",
+            "((1/3)^65536)^65536", "x^65536*x", "0*x^65536*x^65536", "(x-x+2)^3*x",
+            "x + ", "(x+1", "x$1", "1/0", "x^^2", "2 3", "(x)(x)",
+            "0*(x+1)*" + "(x+1)^1000*" * 3 + "x",  # a zero product still counts what follows
+        ):
+            assert _outcome(parse_poly, text) == _outcome(reference_parse_poly, text), text
+
+
+class TestIntegerPrinting:
+    @given(st.lists(
+        st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12)) | st.just(Fraction(0)),
+        min_size=0, max_size=9,
+    ).map(Poly))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_printer_and_round_trips(self, p):
+        assert str(p) == reference_str(p)
+        assert parse_poly(str(p)) == p
 
 
 class TestRing:

@@ -159,6 +159,25 @@ class TestKernelAgainstFractionReference:
         assert (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
         assert (a - b) + b == a and a - a == Poly.zero()
 
+    @given(wide_polys(), fractions(60, 12), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_monomial_product_is_a_shift(self, a, c, k):
+        m = Poly.monomial(c, k)
+        for p in (m * a, a * m):
+            assert_canonical(p)
+            assert p.coeffs == frac_mul(m, a)
+
+    @given(st.lists(st.one_of(
+        wide_polys(),
+        st.tuples(st.integers(-60, 60), st.integers(1, 12), st.integers(0, 8)),
+    ), max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_of_polys_and_monomials(self, terms):
+        as_polys = [Poly.monomial(Fraction(t[0], t[1]), t[2]) if type(t) is tuple else t for t in terms]
+        total = Poly.sum(terms)
+        assert_canonical(total)
+        assert total == sum(as_polys, Poly.zero())
+
     @given(wide_polys(8), st.one_of(rational_lead_divisors(), monic_integer_divisors(), wide_polys(4)))
     @settings(max_examples=300, deadline=None)
     def test_divmod(self, a, b):

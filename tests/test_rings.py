@@ -23,7 +23,7 @@ from realspec import (
 )
 from realspec.parsing import parse_poly as P
 from realspec.polynomials import is_irreducible, real_part
-from realspec.rings import RingElem, combination_certificate, ideal_sum
+from realspec.rings import RingElem, _neg_one_sos_mod, combination_certificate, ideal_sum
 
 from helpers import (
     from_sympy,
@@ -509,6 +509,23 @@ class TestCombinationCertificate:
         cert = combination_certificate(h, [fi])
         assert cert.m == 1 and cert.sos.terms == ()
         assert cert.coeffs == (BASE.elem(P("1/2")),)
+
+
+class TestNegOneCache:
+    def test_shared_non_real_prime_is_built_once(self):
+        # x^6+x+9 takes the univsos2 route; -1 as a sum of squares mod it is cached
+        p = P("x^6+x+9")
+        ideal, a = BASE.ideal(p * P("x+5")), BASE.elem(P("x+5"))
+        first = find_certificate(ideal, a)
+        hits = _neg_one_sos_mod.cache_info().hits
+        second = find_certificate(ideal, a)
+        assert second == first and second.found
+        assert _neg_one_sos_mod.cache_info().hits > hits
+        hits = _neg_one_sos_mod.cache_info().hits
+        other = find_certificate(BASE.ideal(p * P("x-1")), BASE.elem(P("x-1")))
+        assert other.found and _neg_one_sos_mod.cache_info().hits > hits
+        cached = _neg_one_sos_mod(p)
+        assert type(cached) is tuple and cached == _neg_one_sos_mod.__wrapped__(p)
 
 
 class TestSigmaDenominator:
