@@ -19,7 +19,9 @@ round-trips through parse_poly.
 
 One compiled regex reads the tokens as plain strings once `_INVALID` finds
 no other character than decimal digits (as for `int`), operators, x and
-space; a column is worked out only for an error. A value of at most one term
+space; a column is worked out only for an error. A number longer than
+int() reads (4300 digits unless the interpreter says otherwise) is refused
+with its column, as any other malformed input. A value of at most one term
 stays a monomial (num, den, k) for num/den * x^k through products, powers
 and negation, and a sum adds all its terms in one integer pass (`Poly.sum`,
 which takes monomials as they are); Polys are built only through Poly's
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -96,6 +99,16 @@ class _Parser:
         starts = [match.start() + 1 for match in _TOKEN.finditer(self.text)] + [len(self.text) + 1]
         return ParseError(message, starts[index])
 
+    def _int(self, index: int) -> int:
+        """The decimal literal at token index. A literal longer than int()
+        reads (sys.get_int_max_str_digits) is refused here, not left to
+        raise a ValueError; the interpreter's limit stays as it is."""
+        try:
+            return int(self.tokens[index])
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise self._error(f"number has more than {limit} digits", index) from None
+
     def _check_size(self, factors: tuple[tuple[Value, int], ...], what: str, index: int) -> None:
         """Refuse, before it is expanded, a product of powers base^n over the
         pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size
@@ -158,11 +171,11 @@ class _Parser:
                 if atom == "x":
                     rhs = (1, 1, 1)
                 elif atom.isdecimal():
-                    rhs = (int(atom), 1, 0)
+                    rhs = (self._int(pos - 1), 1, 0)
                     if tokens[pos] == "/":
                         if not tokens[pos + 1].isdecimal():
                             raise self._error("expected an integer denominator", pos + 1)
-                        den, pos = int(tokens[pos + 1]), pos + 2
+                        den, pos = self._int(pos + 1), pos + 2
                         if den == 0:
                             raise self._error("zero denominator", pos - 1)
                         g = math.gcd(rhs[0], den)
@@ -195,7 +208,7 @@ class _Parser:
         text = self.tokens[pos]
         if not text.isdecimal():
             raise self._error("expected a nonnegative integer exponent", pos)
-        exponent = int(text)
+        exponent = self._int(pos)
         if exponent > MAX_EXPONENT:
             raise self._error(f"exponent exceeds {MAX_EXPONENT}", pos)
         self._check_size(((base, exponent),), "power", pos)

@@ -16,11 +16,16 @@ On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
 squarefree parts, complete factorization over Q, Sturm real-root counting,
 and the real part (the monic product of the real-rooted irreducible
-factors). All but Bezout hand ``_p`` to sympy's dense ``dup_*`` routines
-over ZZ; factoring and the real part go one squarefree component (Yun) at a
-time, and the real part factors only what a Sturm count cannot settle.
-Root counts and real parts are invariant under scaling, so their caches
-are keyed on ``_p``; factorizations on ``(content, _p)``.
+factors). Factoring and the real part go one squarefree component (Yun,
+sympy's ``dup_sqf_list``) at a time, and the real part factors only what a
+Sturm count cannot settle. A component is factored by `zassenhaus` on
+Python ints: Cantor-Zassenhaus mod a small prime p, a Hensel lift to p^l
+past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient| * lc, and
+recombination of the lifted factors. Yun, gcd, the squarefree part and the
+Sturm pseudo-remainders hand ``_p`` to sympy's dense ``dup_*`` routines over
+ZZ; Bezout runs on Poly arithmetic. Root counts and real parts are
+invariant under scaling, so their caches are keyed on ``_p``;
+factorizations on ``(content, _p)``.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from sympy.polys.densearith import dup_prem
 from sympy.polys.densetools import dup_diff
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.factortools import dup_zz_zassenhaus
 from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
 
 from .errors import DomainError
+from .zassenhaus import zassenhaus
 
 #: Degree of the zero polynomial. A distinguished marker that still compares
 #: below every integer degree; never a -1 sentinel.
@@ -401,7 +406,7 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q (sympy-backed behind this module's contract)
+# factorization over Q (Yun from sympy, each component by `zassenhaus`)
 
 
 @dataclass(frozen=True)
@@ -423,8 +428,12 @@ class Factorization:
 
 
 def factor(p: Poly) -> Factorization:
-    """Complete factorization of a nonzero polynomial into monic irreducibles,
-    by Zassenhaus on each squarefree component, which carries its multiplicity."""
+    """Complete factorization of a nonzero polynomial into monic irreducibles.
+
+    sympy's Yun (``dup_sqf_list``) splits the primitive part into squarefree
+    components, each carrying its multiplicity; `zassenhaus` factors each
+    component over Z (Cantor-Zassenhaus mod p, Hensel lift past twice the
+    Mignotte bound, recombination). Cached on ``(content, _p)``."""
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     return _factor_cached(p._c, p._p)
@@ -434,9 +443,9 @@ def factor(p: Poly) -> Factorization:
 def _factor_cached(content: Fraction, prim: tuple[int, ...]) -> Factorization:
     # The factors are monic, so the unit is the leading coefficient.
     pairs = [
-        (_canonical(f[::-1], 1, 1).monic(), mult)
+        (_canonical(f, 1, 1).monic(), mult)
         for comp, mult in dup_sqf_list(list(reversed(prim)), ZZ)[1]
-        for f in dup_zz_zassenhaus(comp, ZZ)
+        for f in zassenhaus(comp[::-1])
     ]
     pairs.sort(key=lambda pm: pm[0].sort_key())
     return Factorization(content * prim[-1], tuple(pairs))

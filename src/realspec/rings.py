@@ -296,8 +296,10 @@ def annihilator(z: RingElem) -> Ideal:
 def local_modulus(g: RingElem) -> Poly:
     """R_g: the product of the p^e exactly dividing the modulus with p
     real-rooted and p not dividing g; in Q[x], 0 for g != 0 and 1 for g = 0.
-    The localization at g's multiplicative set is A/(R_g), so two elements
-    agree there exactly when R_g divides their difference (see `sheaves`)."""
+    Some s in g's multiplicative set Sigma_g has s*c = 0 exactly when R_g
+    divides c, so two elements agree in Sigma_g^-1 A exactly when R_g divides
+    their difference (see `sheaves`). In a quotient ring Sigma_g^-1 A is
+    A/(R_g); in Q[x] it is not, as R_g = 0 and 1/(1+x^2) lies in it."""
     ring = g.ring
     if not ring.is_quotient:
         return Poly.one() if g.is_zero() else Poly.zero()

@@ -15,14 +15,19 @@ Each equality below is one rule: a kernel divides the cross difference.
 
 For A = Q[x]/(m) (Q[x] is m = 0) let R_f be the product of the prime powers
 p^e exactly dividing m with p real-rooted and p not dividing f
-(`rings.local_modulus`; 0 in Q[x] for f != 0). Then
-Sigma_f^-1 A = A/(R_f) = Gamma(D(f)), real ring or not:
-- s = f^(2k) + sos in Sigma_f is a unit mod R_f: at a real root r of such
-  a p, f(r) != 0, so s(r) > 0 and p does not divide s. Conversely every
-  real factor of m / R_f divides f, so f lies in the real radical of
-  (m / R_f) and some s in Sigma_f is a multiple of m / R_f. Hence s*c = 0
-  for some s exactly when R_f divides c: `sigma_eq`, and with R_(g_i g_j)
-  the overlap test of `section_validate` and `section_eq`.
+(`rings.local_modulus`; 0 in Q[x] for f != 0). In every A, s*c = 0 for some
+s in Sigma_f exactly when R_f divides c: `sigma_eq`, and with R_(g_i g_j)
+the overlap test of `section_validate` and `section_eq`.
+- For m != 0, s = f^(2k) + sos in Sigma_f is a unit mod R_f: at a real root
+  r of such a p, f(r) != 0, so s(r) > 0 and p does not divide s. Conversely
+  every real factor of m / R_f divides f, so f lies in the real radical of
+  (m / R_f) and some s in Sigma_f is a multiple of m / R_f. So
+  Sigma_f^-1 A = A/(R_f) = Gamma(D(f)), real ring or not.
+- For m = 0 and f != 0 only the kernel statement holds: Q[x] is a domain and s != 0,
+  so s*c = 0 exactly when c = 0 = R_f. Yet Sigma_f^-1 Q[x] is not
+  Q[x]/(R_f) = Q[x]: 1/(1+x^2) lies in it. Over Q[x], psi is onto
+  Gamma(D(f)) by the paper's theorem, which glue's certificate shows each
+  time.
 - The real idempotent e (1 mod the real prime powers of m, 0 mod the rest)
   kills the non-real part of m. On a real p^k with p not dividing g_i g_j
   a valid section has p^k | c_ij = a_i g_j - a_j g_i, and where p divides

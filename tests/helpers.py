@@ -392,6 +392,30 @@ def route_products(draw) -> Poly:
     return p
 
 
+#: Leading coefficients of `kernel_products` factors are products of these, so
+#: factors share them and the factoring prime has to avoid them.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def kernel_products(draw) -> Poly:
+    """A product of up to five random factors of degree 1..9, each to a power
+    1..3, of total degree at most 40. A factor has integer coefficients of up
+    to 3, 10 or 40 bits over a denominator of 1, 2, 3 or 7, and a leading
+    numerator of either sign made of `SMALL_PRIMES`."""
+    p, total = Poly.one(), 0
+    for _ in range(draw(st.integers(1, 5))):
+        degree, mult = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+        if total + degree * mult > 40:
+            break
+        bound = 1 << draw(st.sampled_from([3, 10, 40]))
+        lead = draw(st.sampled_from([-1, 1])) * math.prod(draw(st.lists(st.sampled_from(SMALL_PRIMES), max_size=3)))
+        low = draw(st.lists(st.integers(-bound, bound), min_size=degree, max_size=degree))
+        den = draw(st.sampled_from([1, 2, 3, 7]))
+        p, total = p * Poly([Fraction(c, den) for c in low + [lead]]) ** mult, total + degree * mult
+    return p
+
+
 # ---------------------------------------------------------------------------
 # the parser and printer before polynomials were read in one pass and printed
 # from integers; the same grammar, budgets, messages and columns

@@ -68,6 +68,11 @@ class TestExitCodes:
         assert code == 2
         assert "column 3" in err
 
+    def test_number_longer_than_int_reads(self, capsys):
+        code, out, err = run(capsys, "sturm", "1" + "0" * 4400 + "*x+1")
+        assert (code, out) == (2, "")
+        assert "column 1" in err and "Traceback" not in err
+
     def test_nested_power_degree(self, capsys):
         code, out, err = run(capsys, "sturm", "((x)^65536)^65536")
         assert (code, out) == (2, "")

@@ -124,6 +124,15 @@ class TestParse:
         assert err.value.column == 3 and "unexpected character '\u00b2'" in str(err.value)
         assert parse_poly("x^\u0663") == Poly.monomial(1, 3)  # ARABIC-INDIC DIGIT THREE
 
+    def test_number_longer_than_int_reads(self):
+        # int() refuses more than 4300 digits by default; that is a usage error with a column
+        big = "1" + "0" * 4400
+        for text, column in ((big + "*x+1", 1), ("x + 3/" + big, 7), ("x^" + big, 3)):
+            with pytest.raises(ParseError) as err:
+                parse_poly(text)
+            assert err.value.column == column and "more than 4300 digits" in str(err.value)
+        assert parse_poly("9" * 4300) == Poly.const(10**4300 - 1)
+
     def test_nesting_depth(self):
         deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
         assert parse_poly(deepest) == Poly.x()

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import realspec.zassenhaus as zassenhaus
 from realspec import (
     NEG_INF,
     DomainError,
@@ -18,6 +19,7 @@ from realspec import (
     squarefree_part,
 )
 from realspec.parsing import parse_poly as P
+from realspec.polynomials import _factor_cached
 
 from helpers import (
     count_real_roots_oracle,
@@ -28,6 +30,7 @@ from helpers import (
     frac_divmod,
     frac_mul,
     from_sympy,
+    kernel_products,
     lcm,
     random_dense_product,
     random_nonzero_poly,
@@ -403,6 +406,71 @@ class TestPerComponentRoutes:
         assert [(str(q), m) for q, m in fac.factors] == [
             ("x - 1", 3), ("x^3 - 2", 1), ("x^4 + 1", 2),
         ]
+
+
+class TestZassenhausKernel:
+    """The factoring kernel (Cantor-Zassenhaus mod p, Hensel lift, recombination)
+    against sympy's dup_factor_list, through `factor` on each Yun component."""
+
+    @given(kernel_products())
+    @settings(max_examples=120, deadline=None)
+    def test_factor_matches_reference(self, p):
+        fac = factor(p)
+        assert fac == reference_factor(p)
+        assert fac.value() == p
+
+    @given(kernel_products())
+    @settings(max_examples=120, deadline=None)
+    def test_real_part_matches_reference(self, p):
+        assert real_part(p) == reference_real_part(p)
+
+    def factor_with_primes(self, monkeypatch, text):
+        """The factorization of text, and the primes whose factors mod p were counted."""
+        primes, gf_factor = [], zassenhaus._gf_factor
+        monkeypatch.setattr(zassenhaus, "_gf_factor", lambda f, p: primes.append(p) or gf_factor(f, p))
+        _factor_cached.cache_clear()
+        fac = factor(P(text))
+        assert fac == reference_factor(P(text))
+        return fac, primes
+
+    def test_swinnerton_dyer(self, monkeypatch):
+        # irreducible over Q but split mod every prime: recombination rejects every subset
+        for text in ("x^4-10*x^2+1", "x^8-40*x^6+352*x^4-960*x^2+576"):
+            fac, _ = self.factor_with_primes(monkeypatch, text)
+            assert [(str(q), m) for q, m in fac.factors] == [(str(P(text)), 1)]
+
+    def test_cyclotomic(self, monkeypatch):
+        fac, _ = self.factor_with_primes(monkeypatch, "x^12-1")
+        assert [str(q) for q, _ in fac.factors] == [
+            "x - 1", "x + 1", "x^2 - x + 1", "x^2 + 1", "x^2 + x + 1", "x^4 - x^2 + 1"]
+        fac, _ = self.factor_with_primes(monkeypatch, "x^15-1")
+        assert [str(q) for q, _ in fac.factors] == [
+            "x - 1", "x^2 + x + 1", "x^4 + x^3 + x^2 + x + 1", "x^8 - x^7 + x^5 - x^4 + x^3 - x + 1"]
+
+    def test_prime_choice(self, monkeypatch):
+        # every odd prime below 17 divides 15015 = 3*5*7*11*13
+        fac, primes = self.factor_with_primes(monkeypatch, "(105*x+1)*(143*x-2)*(x^2+x+1)")
+        assert primes == [17] and fac.unit == 15015
+        # x^2 - 2x + 4 = (x - 1)^2 mod 3: its discriminant is -12
+        _, primes = self.factor_with_primes(monkeypatch, "x^2-2*x+4")
+        assert primes == [5]
+        # 16 distinct roots: 15 or more factors mod 17, so 5 primes are tried
+        fac, primes = self.factor_with_primes(monkeypatch, "*".join(f"(x-{i})" for i in range(1, 17)))
+        assert primes == [17, 19, 23, 29, 31] and len(fac.factors) == 16
+
+    def test_deterministic_and_global_random_untouched(self, monkeypatch):
+        # the Swinnerton-Dyer octic mod 7 is a product of four quadratics: equal-degree splitting
+        splits, edf = [], zassenhaus._edf
+        monkeypatch.setattr(zassenhaus, "_edf", lambda g, d, *rest: splits.append(len(g) - 1 > d) or edf(g, d, *rest))
+        p = P("x^8-40*x^6+352*x^4-960*x^2+576")
+        random.seed(2024)
+        expected = random.random()
+        random.seed(2024)
+        _factor_cached.cache_clear()
+        first = factor(p)
+        assert random.random() == expected and any(splits)
+        _factor_cached.cache_clear()
+        assert factor(p) == first
 
 
 class TestIntegerKernelCrossCheck:
