@@ -5,7 +5,6 @@ from .errors import (
     InputError,
     NotACoverError,
     NotASectionError,
-    NotLocallyFractionalError,
     OutOfDomainError,
     ParseError,
     RingMismatchError,
@@ -22,7 +21,6 @@ from .polynomials import (
     has_real_root,
     is_irreducible,
     real_part,
-    squarefree_part,
 )
 from .rings import (
     Certificate,
@@ -51,7 +49,6 @@ from .spectrum import (
     cover_check,
     enumerate_primes,
     finite_subcover,
-    prime_in,
     v_of,
 )
 from .sheaves import (
@@ -64,7 +61,6 @@ from .sheaves import (
     ValidationReport,
     equalize,
     glue,
-    normalize_basic,
     psi,
     section_eq,
     section_validate,

@@ -13,7 +13,8 @@ also by its closing identity).
 A document exponent is held to 0 <= m and the budgets below by one check,
 `_checked_power`, for every kind.
 
-Exit codes: 0 success, 2 parse or usage error, 3 precondition violation.
+Exit codes: 0 success, 2 parse or usage error, 3 precondition violation
+(an answer with a coefficient too long to print among them).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
@@ -68,9 +68,10 @@ EXIT_PRECONDITION = 3
 #: input (certificate documents, sigma-eq exponents); expanding it costs
 #: time and memory that grow with this degree.
 MAX_POWER_DEGREE = 128
-#: Largest 2m * (bit length of the base over a common denominator: the
-#: largest of its integer numerators and of the denominator) for the same
-#: powers; at the limit no document took over 0.4 s to verify (2-vCPU x86_64).
+#: Largest 2m * (bit length of the base's `Poly.height`: the 1-norm of its
+#: numerators over their common denominator, or that denominator if larger)
+#: for the same powers; at the limit no document took over 0.4 s to verify
+#: (2-vCPU x86_64).
 MAX_POWER_BITS = 2048
 
 
@@ -83,9 +84,7 @@ def _checked_power(base, m: int) -> int:
         raise InputError(
             f"exponent {m} makes ({base})^(2*{m}) exceed degree {MAX_POWER_DEGREE}"
         )
-    coeffs = base.rep.coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
-    bits = max([den] + [abs(c.numerator) * (den // c.denominator) for c in coeffs]).bit_length()
+    bits = base.rep.height.bit_length()
     if 2 * m * bits > MAX_POWER_BITS:
         raise InputError(f"exponent {m} makes ({base})^(2*{m}) exceed {MAX_POWER_BITS} bits")
     return m

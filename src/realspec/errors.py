@@ -17,10 +17,6 @@ class NotASectionError(DomainError):
     """The given local data fails section validation."""
 
 
-class NotLocallyFractionalError(DomainError):
-    """Raw local data violates the D(h) within D(f) precondition."""
-
-
 class OutOfDomainError(DomainError):
     """A prime lies outside the domain of the section."""
 

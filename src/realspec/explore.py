@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,9 +83,6 @@ class ExplorationReport:
             ],
             "totals": self.totals(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

@@ -10,28 +10,29 @@ integer gcd; division is integer long division that scales by the
 divisor's leading entry only when it does not divide the current leading
 term (a monic integer modulus never scales). ``coeffs`` builds
 ``Fraction``s on demand, for ordering; printing reduces each coefficient
-with one integer gcd.
+with one integer gcd, and a coefficient with more digits than the
+interpreter converts is a `DomainError`.
 
 On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
-squarefree parts, complete factorization over Q, Sturm real-root counting,
-and the real part (the monic product of the real-rooted irreducible
-factors). Factoring and the real part go one squarefree component (Yun,
-sympy's ``dup_sqf_list``) at a time, and the real part factors only what a
-Sturm count cannot settle. A component is factored by `zassenhaus` on
-Python ints: Cantor-Zassenhaus mod a small prime p, a Hensel lift to p^l
-past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient| * lc, and
-recombination of the lifted factors. Yun, gcd, the squarefree part and the
-Sturm pseudo-remainders hand ``_p`` to sympy's dense ``dup_*`` routines over
-ZZ; Bezout runs on Poly arithmetic. Root counts and real parts are
-invariant under scaling, so their caches are keyed on ``_p``;
-factorizations on ``(content, _p)``.
+complete factorization over Q, Sturm real-root counting, and the real part
+(the monic product of the real-rooted irreducible factors). Factoring and
+the real part go one squarefree component (Yun, sympy's ``dup_sqf_list``) at
+a time, and the real part factors only what a Sturm count cannot settle. A
+component is factored by `zassenhaus` on Python ints: Cantor-Zassenhaus mod
+a small prime p, a Hensel lift to p^l past twice the Mignotte bound
+sqrt(n+1) * 2^n * max|coefficient| * lc, and recombination of the lifted
+factors. Yun, gcd and the Sturm pseudo-remainders hand ``_p`` to sympy's
+dense ``dup_*`` routines over ZZ; Bezout runs on Poly arithmetic. Root
+counts and real parts are invariant under scaling, so their caches are keyed
+on ``_p``; factorizations on ``(content, _p)``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +42,7 @@ from sympy.polys.densearith import dup_prem
 from sympy.polys.densetools import dup_diff
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.sqfreetools import dup_sqf_list, dup_sqf_part
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from .errors import DomainError
 from .zassenhaus import zassenhaus
@@ -301,7 +302,11 @@ class Poly:
             if not n:
                 continue
             g = math.gcd(n, den)
-            c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            try:
+                c = str(abs(n) // g) if g == den else f"{abs(n) // g}/{den // g}"
+            except ValueError:  # an int past the interpreter's digit limit
+                limit = sys.get_int_max_str_digits()
+                raise DomainError(f"a coefficient has more than {limit} digits to print") from None
             if power:
                 xpart = "x" if power == 1 else f"x^{power}"
                 c = xpart if c == "1" else f"{c}*{xpart}"
@@ -396,13 +401,6 @@ def bezout_many(fs: Sequence[Poly]) -> tuple[Poly, list[Poly]]:
         coeffs = [inv * c for c in coeffs]
         g = g.monic()
     return g, coeffs
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero():
-        raise DomainError("squarefree part of 0 is undefined")
-    return _canonical(dup_sqf_part(list(reversed(p._p)), ZZ)[::-1], 1, 1).monic()
 
 
 # ---------------------------------------------------------------------------

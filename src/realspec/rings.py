@@ -200,20 +200,10 @@ class Ideal:
     def is_zero(self) -> bool:
         return self.gen == self.ring.modulus
 
-    def contains(self, a: RingElem) -> bool:
-        if a.ring != self.ring:
-            raise RingMismatchError("element belongs to a different ring")
-        return self.gen.divides(a.rep)
-
     def product(self, other: "Ideal") -> "Ideal":
         if self.ring != other.ring:
             raise RingMismatchError("ideals of different rings")
         return self.ring.ideal(self.gen * other.gen)
-
-    def sum(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise RingMismatchError("ideals of different rings")
-        return ideal_sum(self.ring, (self.gen, other.gen))
 
     def __str__(self) -> str:
         return f"({self.gen})"
@@ -565,7 +555,10 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
     The witness is a^(2m) * (1 + T), built in one pass over the factors
     p^e of gen. Those with p | a, to order v, make up gen / U, and
     m = max(1, ceil(e / 2v)) over them makes a^(2m) = 0 mod gen / U. The
-    others make up U, and membership says none of them has a real root.
+    others make up U, and a is a member exactly when none of them has a
+    real root (a real-rooted p would be a real prime holding gen and not a),
+    so the same pass decides membership; a = 0 is always a member, and the
+    zero ideal of Q[x] holds nothing else.
     T is a weighted sum of squares with 1 + T = 0 mod U (`_neg_one_mod`), so
     a^(2m) + sum(w * (a^m * h)^2) = 0 mod gen:
     - a monic irreducible p without real roots is positive on R, so
@@ -598,24 +591,23 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
 def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, RingElem]]:
     """(m, sos, cofactor) with a^(2m) + sos = cofactor * gen, as
     find_certificate builds it but not yet verified; None for a non-member."""
-    ring = ideal.ring
-    if not real_radical_member(ideal, a):
-        return None
-    gen = ideal.gen
-    if a.is_zero() or gen.is_zero():
-        # 0^(2m) = 0 * gen; and the zero ideal of Q[x] only contains a = 0
-        return 1, SumOfSquares(), ring.zero()
+    ring, gen = ideal.ring, ideal.gen
+    if a.is_zero():
+        return 1, SumOfSquares(), ring.zero()  # 0^2 = 0 * gen
+    if gen.is_zero():
+        return None  # the zero ideal of Q[x] holds only 0
     a_lift = a.rep
-    if gen.is_one():
+    if gen.is_one():  # the unit ideal, as for nearly every glue: no factor pass
         return 1, SumOfSquares(), ring.elem(a_lift * a_lift)
-
     m, parts = 1, []
     for p, e in factor(gen).factors:
         v = _multiplicity(a_lift, p)
         if v:
             m = max(m, -(-e // (2 * v)))  # a^(2m) is 0 mod p^e
+        elif has_real_root(p):
+            return None  # a real prime contains gen and not a
         else:
-            parts.append((p, e))  # membership: p has no real root
+            parts.append((p, e))
     a_m = a_lift**m
     weighted = _merge(((w, a_m * t) for w, t in _neg_one_mod(parts)), gen)
     v = a_m * a_m

@@ -49,15 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
-from .errors import (
-    DomainError,
-    NotASectionError,
-    NotLocallyFractionalError,
-    OutOfDomainError,
-    RingMismatchError,
-)
+from .errors import DomainError, NotASectionError, OutOfDomainError, RingMismatchError
 from .polynomials import Poly
 from .rings import (
     Certificate,
@@ -66,7 +59,6 @@ from .rings import (
     SigmaDenominator,
     combination_certificate,
     local_modulus,
-    real_radical_member,
     verify_certificate,
 )
 from .spectrum import RealPrime, cover_check, v_of
@@ -200,41 +192,6 @@ def section_validate(s: Section) -> ValidationReport:
             if not _overlap_compatible(s.patches[i], s.patches[j]):
                 bad.append((i, j))
     return ValidationReport(cover_ok, tuple(bad))
-
-
-# ---------------------------------------------------------------------------
-# normalization of raw local data into denominator-on-patch form
-
-
-def normalize_basic(
-    f: RingElem,
-    raw: Sequence[tuple[RingElem, RingElem, RingElem]],
-) -> Section:
-    """Rewrite local data (h_i, b_i, f_i) with b_i/f_i on D(h_i) into patches
-    whose denominator cuts out the patch itself.
-
-    Requires D(h_i) within D(f_i) for each i and the h_i to cover D(f).
-    Each rewrite uses the one-generator certificate h_i^(2n) + sos = u_i * f_i.
-    """
-    ring = f.ring
-    for h, _b, fi in raw:
-        di = ring.ideal(fi)
-        if not real_radical_member(di, h):
-            raise NotLocallyFractionalError("D(h) is not inside D(f_i)")
-    if not cover_check(f, [h for h, _b, _fi in raw]):
-        raise NotLocallyFractionalError("the h_i do not cover D(f)")
-
-    patches: list[LocalFraction] = []
-    for h, b, fi in raw:
-        u = combination_certificate(h, [fi]).coeffs[0]
-        # b / f_i = u * b * h^2 / (h^2 * (h^(2n) + sos)) on D(h)
-        h2 = h * h
-        g = h2 * u * fi
-        a = u * b * h2
-        if v_of(ring.ideal(g)) != v_of(ring.ideal(h)):
-            raise AssertionError("rewritten patch changed its basic open")
-        patches.append(LocalFraction(a, g))
-    return Section(ring, f, tuple(patches))
 
 
 # ---------------------------------------------------------------------------

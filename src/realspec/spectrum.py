@@ -4,8 +4,8 @@ Real primes, canonical closed sets V(I) and their boolean algebra, basic
 opens D(f), exact cover decisions, and finite subcovers. A real prime is
 (gen): gen 0 for the zero prime of Q[x] (the quotient by 0), otherwise a
 real-rooted irreducible dividing the modulus, and it contains x exactly
-when gen divides x. That one test decides elements and closed sets
-alike. A subcover's witness is the library's one `rings.Certificate`, the
+when gen divides x; it lies in a closed set V(g) when it contains g.
+A subcover's witness is the library's one `rings.Certificate`, the
 identity sum(coeffs[j] * gens[j]) = f^(2m) + sum of squares over the
 subcover's members, checked by the one `rings.verify_certificate`.
 """
@@ -32,24 +32,21 @@ from .rings import (
 @dataclass(frozen=True)
 class RealPrime:
     """A real prime ideal (gen): gen 0 is the zero prime of Q[x], any other
-    gen a monic irreducible real-rooted divisor of the modulus. The prime
-    contains x exactly when gen divides x."""
+    gen a monic irreducible real-rooted divisor of the modulus, in a quotient
+    one of the ring's `real_factors`. The prime contains x exactly when gen
+    divides x."""
 
     ring: Ring
     gen: Poly
 
     def __post_init__(self):
-        g = self.gen
-        if g.is_zero():
-            if self.ring.is_quotient:
-                raise DomainError("the zero ideal is prime only in Q[x]")
-            return
-        if not is_irreducible(g) or g.leading != 1:
-            raise DomainError("principal real prime needs a monic irreducible generator")
-        if not has_real_root(g):
-            raise DomainError("generator has no real root, so the prime is not real")
-        if not g.divides(self.ring.modulus):
-            raise DomainError("prime generator must divide the modulus")
+        g, ring = self.gen, self.ring
+        if ring.is_quotient:  # the ring has classified its primes already
+            real = g in dict(ring.real_factors)
+        else:
+            real = g.is_zero() or (g.leading == 1 and is_irreducible(g) and has_real_root(g))
+        if not real:
+            raise DomainError(f"({g}) is not a real prime of {ring}")
 
     @staticmethod
     def zero(ring: Ring) -> "RealPrime":
@@ -135,14 +132,6 @@ def closed_subset(v1: ClosedSet, v2: ClosedSet) -> bool:
     """
     _check_same_ring([v1, v2])
     return v1.gen.divides(v2.gen)
-
-
-def prime_in(p: RealPrime, v: ClosedSet) -> bool:
-    """p in V(gen) iff p contains gen; the markers 0 (whole space) and 1
-    (empty set) follow the same rule."""
-    if p.ring != v.ring:
-        raise RingMismatchError("prime and closed set of different rings")
-    return p.gen.divides(v.gen)
 
 
 def enumerate_primes(ring: Ring) -> list[RealPrime]:

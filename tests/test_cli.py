@@ -73,6 +73,23 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "column 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [("real-part", "(2^20000+1)*x+1"), ("cert", "find", "x^2+1", "(2^8000)*x")]
+    )
+    def test_coefficient_too_long_to_print(self, capsys, argv):
+        # the second input prints; its cofactor 2^16000 does not
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "more than 4300 digits to print" in err
+
+    def test_nonreal_factor_is_not_a_prime(self, capsys):
+        ring = "Q[x]/((x-1)*(x^2+1))"
+        argv = ("section", "stalk", "--ring", ring, "--f", "1", "--patch", "1:1", "--prime")
+        code, out, err = run(capsys, *argv, "x^2+1")
+        assert (code, out) == (3, "")
+        assert "(x^2 + 1) is not a real prime of Q[x]/(x^3 - x^2 + x - 1)" in err
+        assert run(capsys, *argv, "x-1")[:2] == (0, "1 / 1 at (x - 1)\n")
+
     def test_nested_power_degree(self, capsys):
         code, out, err = run(capsys, "sturm", "((x)^65536)^65536")
         assert (code, out) == (2, "")

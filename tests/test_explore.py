@@ -34,7 +34,7 @@ def test_report_shape_and_determinism():
     cfg = ExploreConfig(rings=6, trials=3, seed=11)
     r1 = explore_question(cfg)
     r2 = explore_question(cfg)
-    assert r1.to_json() == r2.to_json()
+    assert r1.to_dict() == r2.to_dict()
     assert len(r1.rings) == 6
     totals = r1.totals()
     assert sum(totals.values()) == 6 * 3

@@ -248,6 +248,13 @@ class TestIntegerPrinting:
         assert str(p) == reference_str(p)
         assert parse_poly(str(p)) == p
 
+    def test_coefficient_too_long_to_print(self):
+        # 4300 digits print; one more is a DomainError, not int()'s ValueError
+        assert str(Poly([10**4300 - 1, 1])) == "x + " + "9" * 4300
+        for p in (Poly([1, 10**4300]), Poly([Fraction(1, 10**4300), 1])):
+            with pytest.raises(DomainError, match="more than 4300 digits to print"):
+                str(p)
+
 
 class TestRing:
     def test_base(self):

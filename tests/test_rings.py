@@ -21,8 +21,9 @@ from realspec import (
     real_radical_member,
     verify_certificate,
 )
+from realspec import rings
 from realspec.parsing import parse_poly as P
-from realspec.polynomials import is_irreducible, real_part
+from realspec.polynomials import has_real_root, is_irreducible, real_part
 from realspec.rings import RingElem, _neg_one_sos_mod, combination_certificate, ideal_sum
 
 from helpers import (
@@ -33,6 +34,7 @@ from helpers import (
     random_elem,
     random_real_quotient,
     random_structured_poly,
+    reference_real_part,
     route_factors,
     route_products,
     to_sympy,
@@ -180,7 +182,7 @@ class TestIdealSum:
         acc = ring.zero_ideal()
         for p in lifts:
             assert ring.ideal(p).gen == reference_ideal_gen(ring, [p])
-            acc = acc.sum(ring.ideal(ring.elem(p)))
+            acc = ideal_sum(ring, (acc.gen, ring.ideal(ring.elem(p)).gen))
         assert acc.gen == want
 
     def test_empty_family_is_the_zero_ideal(self):
@@ -198,8 +200,6 @@ class TestIdealSum:
             ring.ideal(BASE.one())
         with pytest.raises(RingMismatchError):
             ideal_sum(ring, [ring.one(), BASE.one()])
-        with pytest.raises(RingMismatchError):
-            ring.zero_ideal().sum(BASE.zero_ideal())
 
 
 class TestElemPower:
@@ -244,7 +244,7 @@ class TestAnnihilator:
             ann = annihilator(z)
             assert (z * ring.elem(ann.gen)).is_zero()
             w = random_elem(rng, ring)
-            if not ann.contains(w):
+            if not ann.gen.divides(w.rep):
                 assert not (z * w).is_zero()
 
 
@@ -325,6 +325,81 @@ class TestRealRadical:
         assert real_radical_member(BASE.ideal(P("x^2*(x^2+1)")), BASE.elem(P("x")))
         assert not real_radical_member(BASE.ideal(P("x^2-1")), BASE.elem(P("x")))
         assert real_radical_member(quot("x^2").unit_ideal(), quot("x^2").elem(P("x+3")))
+
+
+# irreducibles with and without real roots; a member's cofactor adds one
+# coprime factor of each kind
+_MEMBER_POOL = [P(t) for t in ("x", "x-1", "x+2", "x^2-2", "x^3-2", "x^2+1", "x^2+x+1")]
+
+
+@st.composite
+def ideals_and_elements(draw):
+    """(ideal, a) over Q[x] or a quotient by pool powers: the zero and unit
+    ideals among the generators, a = 0 among the elements, and generators
+    with real-rooted factors that a lacks."""
+    exponents = st.lists(st.integers(0, 2), min_size=len(_MEMBER_POOL), max_size=len(_MEMBER_POOL))
+
+    def product(exps):
+        out = Poly.one()
+        for p, e in zip(_MEMBER_POOL, exps):
+            out = out * p**e
+        return out
+
+    if draw(st.booleans()):
+        ring = BASE
+    else:
+        modulus = product(draw(exponents))
+        assume(not modulus.is_constant())
+        ring = Ring.quotient(modulus)
+    gen = draw(st.sampled_from([Poly.zero(), Poly.one(), None, None, None]))
+    if gen is None:
+        gen = product(draw(exponents)) * Poly.const(draw(st.sampled_from([1, -3])))
+    extra = draw(st.sampled_from([Poly.one(), P("x^2+1/3"), P("x-1/2")]))
+    unit = Poly.const(draw(st.sampled_from([1, Fraction(-2, 5), 1, 0])))
+    return ring.ideal(gen), ring.elem(product(draw(exponents)) * extra * unit)
+
+
+def _certificate_for(ideal, a):
+    """find_certificate, with -1 mod p refused for a real-rooted p: there it
+    has no sum-of-squares form, and the factor pass must stop before it."""
+
+    def nonreal_only(p):
+        assert not has_real_root(p), f"-1 mod real-rooted {p}"
+        return _neg_one_sos_mod(p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rings, "_neg_one_sos_mod", nonreal_only)
+        return find_certificate(ideal, a)
+
+
+class TestMembershipInTheFactorPass:
+    """find_certificate decides membership in its one pass over factor(gen);
+    the oracle is the independent rule real_part(gen) | a, with real part 0
+    for the zero ideal of Q[x]."""
+
+    @given(ideals_and_elements())
+    @settings(max_examples=150, deadline=None)
+    def test_found_iff_real_part_divides(self, case):
+        ideal, a = case
+        gen = ideal.gen
+        real = gen if gen.is_zero() else reference_real_part(gen)
+        out = _certificate_for(ideal, a)
+        assert out.found == real.divides(a.rep)
+        assert out.found == real_radical_member(ideal, a)
+        if out.found:
+            assert verify_certificate(out.certificate)
+
+    def test_edges(self):
+        x = BASE.elem(P("x"))
+        assert _certificate_for(BASE.zero_ideal(), BASE.zero()).found
+        assert not _certificate_for(BASE.zero_ideal(), x).found
+        assert _certificate_for(BASE.unit_ideal(), x).found
+        # x - 1 is a real root of gen outside V(a)
+        assert not _certificate_for(BASE.ideal(P("x*(x-1)*(x^2+1)")), x).found
+        ring = quot("x^2*(x-1)*(x^2+1)")
+        assert _certificate_for(ring.zero_ideal(), ring.zero()).found
+        assert not _certificate_for(ring.zero_ideal(), ring.elem(P("x^2+1"))).found
+        assert _certificate_for(ring.ideal(P("x^2+1")), ring.elem(P("x-1"))).found
 
 
 class TestCertificates:

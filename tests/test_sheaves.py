@@ -22,7 +22,6 @@ from realspec import (
     enumerate_primes,
     equalize,
     glue,
-    normalize_basic,
     psi,
     section_eq,
     section_validate,
@@ -129,51 +128,6 @@ class TestValidate:
     def test_single_patch_power_cover(self):
         report = section_validate(section(BASE, "x", [("x^2", "1")]))
         assert report.ok
-
-
-class TestNormalizeBasic:
-    def test_base_power(self):
-        out = normalize_basic(
-            BASE.elem(P("x")), [(BASE.elem(P("x")), BASE.one(), BASE.elem(P("x^2")))]
-        )
-        patch = out.patches[0]
-        assert patch.denominator == BASE.elem(P("x^4"))
-        assert patch.numerator == BASE.elem(P("x^2"))
-
-    def test_quotient_reduction(self):
-        # x^4 and x*x*x^2 both reduce to x mod x^2 - x
-        ring = quot("x^2-x")
-        x = ring.elem(P("x"))
-        out = normalize_basic(x, [(x, x, x)])
-        patch = out.patches[0]
-        assert patch.denominator == ring.elem(P("x"))
-        assert patch.numerator == ring.elem(P("x"))
-
-    def test_cover_precondition(self):
-        from realspec import NotLocallyFractionalError
-
-        # D(1) is the whole two-point spectrum; D(x) alone cannot cover it
-        ring = quot("x^2-x")
-        x = ring.elem(P("x"))
-        with pytest.raises(NotLocallyFractionalError):
-            normalize_basic(ring.one(), [(x, x, x)])
-
-    def test_nonvanishing_denominator(self):
-        out = normalize_basic(
-            BASE.elem(P("x")), [(BASE.elem(P("x")), BASE.one(), BASE.elem(P("x^2+1")))]
-        )
-        patch = out.patches[0]
-        assert patch.denominator == BASE.elem(P("x^2*(x^2+1)"))
-        assert patch.numerator == BASE.elem(P("x^2"))
-
-    def test_precondition(self):
-        from realspec import NotLocallyFractionalError
-
-        with pytest.raises(NotLocallyFractionalError):
-            # D(x) is not inside D(x - 1)
-            normalize_basic(
-                BASE.elem(P("x")), [(BASE.elem(P("x")), BASE.one(), BASE.elem(P("x-1")))]
-            )
 
 
 class TestEqualize:

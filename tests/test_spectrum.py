@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from realspec import (
-    ClosedSet,
     DomainError,
     LocalFraction,
     NotACoverError,
@@ -21,13 +20,13 @@ from realspec import (
     cover_check,
     enumerate_primes,
     finite_subcover,
-    prime_in,
     stalk_at,
     v_of,
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
 from realspec.polynomials import has_real_root
+from realspec.rings import ideal_sum
 
 from helpers import (
     ROUTE_POOL,
@@ -84,13 +83,6 @@ class TestClosedSets:
         assert closed_subset(vset(BASE, "x^2+1"), vset(BASE, "x^2-2"))  # empty in all
         assert closed_subset(vset(BASE, "x+5"), vset(BASE, "0"))  # whole contains all
 
-    def test_prime_in_examples(self):
-        p = RealPrime(BASE, P("x-1"))
-        assert prime_in(p, vset(BASE, "x^2-1"))
-        zero = RealPrime.zero(BASE)
-        assert not prime_in(zero, vset(BASE, "x"))
-        assert prime_in(RealPrime(BASE, P("x")), vset(BASE, "0"))
-
     def test_prime_validation(self):
         with pytest.raises(DomainError):
             RealPrime(BASE, P("x^2+1"))  # no real root
@@ -100,6 +92,38 @@ class TestClosedSets:
             RealPrime.zero(quot("x^2-x"))  # quotient has no zero prime
         with pytest.raises(DomainError):
             RealPrime(quot("x^2-x"), P("x-5"))  # does not divide modulus
+
+
+_TABLE_RING = "(x-1)^2*(x^2-2)*(x^2+1)"
+
+
+@pytest.mark.parametrize(
+    "modulus, gen, real",
+    [
+        # a quotient: its real factors and nothing else
+        (_TABLE_RING, "x-1", True),
+        (_TABLE_RING, "x^2-2", True),
+        (_TABLE_RING, "0", False),
+        (_TABLE_RING, "x^2+1", False),  # a non-real factor
+        (_TABLE_RING, "x+5", False),  # not a divisor
+        (_TABLE_RING, "2*x-2", False),  # a non-monic associate
+        (_TABLE_RING, "(x-1)*(x^2-2)", False),  # a reducible divisor
+        (_TABLE_RING, "(x-1)^2", False),
+        # Q[x]: zero, or monic, irreducible and real-rooted
+        (None, "0", True),
+        (None, "x-1", True),
+        (None, "x^2-1", False),
+        (None, "x^2+1", False),
+        (None, "2*x-2", False),
+    ],
+)
+def test_real_prime_table(modulus, gen, real):
+    ring = BASE if modulus is None else quot(modulus)
+    if real:
+        assert RealPrime(ring, P(gen)).gen == P(gen)
+    else:
+        with pytest.raises(DomainError, match="is not a real prime of"):
+            RealPrime(ring, P(gen))
 
 
 # irreducibles with and without real roots, for moduli and elements
@@ -133,16 +157,13 @@ def primes_and_elems(draw):
 
 
 class TestOneContainmentRule:
-    """contains, prime_in and stalk_at's domain check agree with the branchy
+    """contains and stalk_at's domain check agree with the branchy
     reference over (kind, gen) in tests/helpers.py."""
 
     @given(primes_and_elems())
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_reference(self, case):
         ring, primes, elems = case
-        ideals = [ring.zero_ideal(), ring.unit_ideal()] + [ring.ideal(a) for a in elems]
-        closed = [ClosedSet(ring, Poly.zero()), ClosedSet(ring, Poly.one())]
-        closed += [v_of(i) for i in ideals]
         for p in primes:
             kind, gen = prime_kind(p.gen)
             for a in elems:
@@ -154,14 +175,9 @@ class TestOneContainmentRule:
                         stalk_at(section, p)
                 else:
                     assert stalk_at(section, p).denominator == a
-            for v in closed:
-                assert prime_in(p, v) == reference_prime_in(kind, gen, v.gen)
 
     def test_markers_and_zero_prime(self):
         zero, x = RealPrime.zero(BASE), RealPrime(BASE, P("x"))
-        whole, empty = ClosedSet(BASE, Poly.zero()), ClosedSet(BASE, Poly.one())
-        assert prime_in(zero, whole) and prime_in(x, whole)
-        assert not prime_in(zero, empty) and not prime_in(x, empty)
         assert zero.contains(BASE.zero()) and not zero.contains(BASE.one())
         assert str(zero) == "(0)" and str(x) == "(x)"
 
@@ -223,7 +239,7 @@ class TestLemmaLaws:
             ideals = [ring.ideal(random_structured_poly(rng, 3, 10)) for _ in range(rng.randint(1, 4))]
             total = ideals[0]
             for k in ideals[1:]:
-                total = total.sum(k)
+                total = ideal_sum(ring, (total.gen, k.gen))
             assert v_of(total) == closed_intersect([v_of(k) for k in ideals])
 
     def test_subset_radical_law(self):
@@ -251,10 +267,10 @@ class TestLemmaLaws:
             union = closed_union(vi, vj)
             inter = closed_intersect([vi, vj])
             for p in primes:
-                assert prime_in(p, union) == (prime_in(p, vi) or prime_in(p, vj))
-                assert prime_in(p, inter) == (prime_in(p, vi) and prime_in(p, vj))
+                assert p.gen.divides(union.gen) == (p.gen.divides(vi.gen) or p.gen.divides(vj.gen))
+                assert p.gen.divides(inter.gen) == (p.gen.divides(vi.gen) and p.gen.divides(vj.gen))
             assert closed_subset(vi, vj) == all(
-                prime_in(p, vj) for p in primes if prime_in(p, vi)
+                p.gen.divides(vj.gen) for p in primes if p.gen.divides(vi.gen)
             )
 
     def test_basic_opens_form_basis(self):
@@ -266,7 +282,7 @@ class TestLemmaLaws:
             v = v_of(ring.ideal(random_elem(rng, ring, 4)))
             gen_elem = ring.elem(v.gen)
             for p in primes:
-                in_complement = not prime_in(p, v)
+                in_complement = not p.gen.divides(v.gen)
                 in_d_gen = not p.contains(gen_elem)
                 assert in_complement == in_d_gen
 
