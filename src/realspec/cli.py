@@ -10,8 +10,10 @@ subcover, glue) keep their own keys, but each is read into the one
 squares and checked by the one `rings.verify_certificate` (a glue document
 also by its closing identity).
 
-A document exponent is held to 0 <= m and the budgets below by one check,
-`_checked_power`, for every kind.
+Outside input is held to the one budget, `parsing.check_size`: in the
+parser, in `_checked_power` for f^(2m) from a document or sigma-eq (after
+refusing m < 0), and in `_elem`, which reads every ring element, before a
+quotient reduces a lift.
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition violation
 (an answer with a coefficient too long to print among them).
@@ -27,11 +29,12 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ParseError
 from .explore import ExploreConfig, explore_question
-from .parsing import parse_poly, parse_ring
+from .parsing import check_size, parse_poly, parse_ring
 from .polynomials import count_real_roots, factor, real_part
 from .rings import (
     Certificate,
     Ring,
+    RingElem,
     SigmaDenominator,
     SumOfSquares,
     find_certificate,
@@ -64,30 +67,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-#: Largest degree 2m * max(deg f, 1) of a power f^(2m) read from outside
-#: input (certificate documents, sigma-eq exponents); expanding it costs
-#: time and memory that grow with this degree.
-MAX_POWER_DEGREE = 128
-#: Largest 2m * (bit length of the base's `Poly.height`: the 1-norm of its
-#: numerators over their common denominator, or that denominator if larger)
-#: for the same powers; at the limit no document took over 0.4 s to verify
-#: (2-vCPU x86_64).
-MAX_POWER_BITS = 2048
-
-
-def _checked_power(base, m: int) -> int:
-    """m, after checking that it is nonnegative and that base^(2m) stays
-    within MAX_POWER_DEGREE and MAX_POWER_BITS."""
+def _checked_power(base: RingElem, m: int) -> int:
+    """m, after refusing m < 0 and a base^(2m) over the budget as a dense
+    value: degree 2m * max(deg base, 1), bits 2m * bit length of the height."""
     if m < 0:
         raise DomainError(f"exponent {m} is negative")
-    if 2 * m * max(base.rep.degree, 1) > MAX_POWER_DEGREE:
-        raise InputError(
-            f"exponent {m} makes ({base})^(2*{m}) exceed degree {MAX_POWER_DEGREE}"
-        )
-    bits = base.rep.height.bit_length()
-    if 2 * m * bits > MAX_POWER_BITS:
-        raise InputError(f"exponent {m} makes ({base})^(2*{m}) exceed {MAX_POWER_BITS} bits")
+    n = 2 * m
+    check_size(n * max(base.rep.degree, 1), n * base.rep.height.bit_length(), f"({base})^({n})")
     return m
+
+
+def _elem(ring: Ring, text: str) -> RingElem:
+    """The element of ring that text denotes. In a quotient, a lift of degree
+    at least the modulus's is costed as dense before it is reduced: a
+    monomial parses as a cheap shift, but reducing it is not cheap."""
+    lift = parse_poly(text)
+    if ring.is_quotient and lift.degree >= ring.modulus.degree:
+        check_size(lift.degree, lift.height.bit_length(), "element before reduction")
+    return ring.elem(lift)
 
 
 def _ring(args) -> Ring:
@@ -98,13 +95,13 @@ def _parse_patch(ring: Ring, text: str) -> LocalFraction:
     if ":" not in text:
         raise ParseError("patch must look like <g>:<a>", 1)
     g_text, a_text = text.split(":", 1)
-    return LocalFraction(ring.elem(parse_poly(a_text)), ring.elem(parse_poly(g_text)))
+    return LocalFraction(_elem(ring, a_text), _elem(ring, g_text))
 
 
 def _parse_sos(ring: Ring, text: Optional[str]) -> SumOfSquares:
     if not text:
         return SumOfSquares()
-    return SumOfSquares(tuple(ring.elem(parse_poly(t)) for t in text.split(",")))
+    return SumOfSquares(tuple(_elem(ring, t) for t in text.split(",")))
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +132,11 @@ def _doc_value(doc, key: str, kind: type, item: Optional[type] = None):
 
 
 def _doc_elem(ring: Ring, doc: dict, key: str):
-    return ring.elem(parse_poly(_doc_value(doc, key, str)))
+    return _elem(ring, _doc_value(doc, key, str))
 
 
 def _doc_elems(ring: Ring, doc: dict, key: str) -> tuple:
-    return tuple(ring.elem(parse_poly(t)) for t in _doc_value(doc, key, list, str))
+    return tuple(_elem(ring, t) for t in _doc_value(doc, key, list, str))
 
 
 def _verify_cert_doc(doc) -> bool:
@@ -246,16 +243,16 @@ def _cmd_vset(args):
 
 def _cmd_cover(args):
     ring = _ring(args)
-    f = ring.elem(parse_poly(args.f))
-    fs = [ring.elem(parse_poly(g)) for g in args.gens]
+    f = _elem(ring, args.f)
+    fs = [_elem(ring, g) for g in args.gens]
     result = cover_check(f, fs)
     return {"covered": result}, [str(result).lower()]
 
 
 def _cmd_subcover(args):
     ring = _ring(args)
-    f = ring.elem(parse_poly(args.f))
-    fs = [ring.elem(parse_poly(g)) for g in args.gens]
+    f = _elem(ring, args.f)
+    fs = [_elem(ring, g) for g in args.gens]
     outcome = finite_subcover(f, fs)
     cert, indices = outcome.certificate, list(outcome.indices)
     payload = _cert_doc(
@@ -268,7 +265,7 @@ def _cmd_subcover(args):
 def _cmd_cert_find(args):
     ring = _ring(args)
     ideal = ring.ideal(parse_poly(args.ideal))
-    a = ring.elem(parse_poly(args.element))
+    a = _elem(ring, args.element)
     outcome = find_certificate(ideal, a)
     if not outcome.found:
         return {"kind": "real-radical", "member": False}, ["member: false"]
@@ -297,7 +294,7 @@ def _cmd_cert_verify(args):
 
 
 def _section_from_args(args, ring: Ring) -> Section:
-    f = ring.elem(parse_poly(args.f))
+    f = _elem(ring, args.f)
     patches = tuple(_parse_patch(ring, p) for p in args.patch)
     return Section(ring, f, patches)
 
@@ -355,13 +352,13 @@ def _cmd_section_stalk(args):
 
 def _cmd_sigma_eq(args):
     ring = _ring(args)
-    f = ring.elem(parse_poly(args.f))
+    f = _elem(ring, args.f)
     u = SigmaFraction(
-        ring.elem(parse_poly(args.num1)),
+        _elem(ring, args.num1),
         SigmaDenominator(f, _checked_power(f, args.m1), _parse_sos(ring, args.sos1)),
     )
     v = SigmaFraction(
-        ring.elem(parse_poly(args.num2)),
+        _elem(ring, args.num2),
         SigmaDenominator(f, _checked_power(f, args.m2), _parse_sos(ring, args.sos2)),
     )
     result = sigma_eq(u, v)

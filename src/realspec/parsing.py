@@ -10,12 +10,15 @@ Grammar for polynomials over the variable x (tightest binding first):
 
 There is no general division; NAT '/' NAT is an exact rational literal.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
-descent well inside Python's recursion limit. A power or a product is
-checked against MAX_EXPONENT and MAX_POWER_SIZE (`_check_size`) before it
-is expanded, and the sizes of one expression's products and powers of
-polynomials with two or more terms add up to at most MAX_EXPRESSION_SIZE.
-Ring descriptions are "Q[x]" or "Q[x]/(<poly>)". Printing (Poly.__str__)
-round-trips through parse_poly.
+descent well inside Python's recursion limit. Ring descriptions are "Q[x]"
+or "Q[x]/(<poly>)". Printing (Poly.__str__) round-trips through parse_poly.
+
+`check_size` is the one budget for expanding outside input: degree at most
+MAX_EXPONENT and size (degree+1) * max(degree+1, bits) at most
+MAX_POWER_SIZE. The parser applies it to each power and product before
+expanding it, and one expression's dense sizes add up to at most
+MAX_EXPRESSION_SIZE; the CLI applies it to the powers f^(2m) that documents
+and sigma-eq name and to each lift that a quotient's modulus reduces.
 
 One compiled regex reads the tokens as plain strings once `_INVALID` finds
 no other character than decimal digits (as for `int`), operators, x and
@@ -25,9 +28,10 @@ with its column, as any other malformed input. A value of at most one term
 stays a monomial (num, den, k) for num/den * x^k through products, powers
 and negation, and a sum adds all its terms in one integer pass (`Poly.sum`,
 which takes monomials as they are); Polys are built only through Poly's
-public methods. For monomials alone `_check_size` returns early, exactly,
-when sum(n * (bit lengths of num and den)) <= MAX_POWER_SIZE: that bounds
-sum(n * log2(height)), and monomials never add to the expression's total.
+public methods. For monomials alone `_check_size` skips the logarithms,
+exactly, when sum(n * (bit lengths of num and den)) <= MAX_POWER_SIZE: that
+bounds sum(n * log2(height)), and monomials never add to the expression's
+total.
 """
 
 from __future__ import annotations
@@ -38,17 +42,31 @@ import sys
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .polynomials import Poly
 from .rings import Ring
 
 MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100
-#: Budget for `_check_size`; the largest admissible power, (x+1)^1023, takes about
+#: Budget for `check_size`; the largest admissible power, (x+1)^1023, takes about
 #: 0.2 s on a 2-vCPU x86_64 host.
 MAX_POWER_SIZE = 1 << 20
 #: Budget for the sizes of one expression's dense products and powers together.
 MAX_EXPRESSION_SIZE = 4 * MAX_POWER_SIZE
+
+
+def check_size(degree: int, bits: float, what: str, dense: bool = True) -> float:
+    """The size of a value of this degree with `bits` bits of coefficients,
+    or an InputError naming `what` past the budget. A dense value takes
+    (degree+1)^2 products to square or reduce however small its entries
+    are; a monomial (dense=False) is a shift, whose size is its bits."""
+    if degree > MAX_EXPONENT:
+        raise InputError(f"{what} has degree above {MAX_EXPONENT}")
+    size = (degree + 1) * max(degree + 1, bits) if dense else bits
+    if size > MAX_POWER_SIZE:
+        raise InputError(f"{what} has size above {MAX_POWER_SIZE} bits")
+    return size
+
 
 _TOKEN = re.compile(r"\d+|[-+*^()/x]")
 _INVALID = re.compile(r"[^\d\s+\-*^()/x]")
@@ -111,18 +129,10 @@ class _Parser:
 
     def _check_size(self, factors: tuple[tuple[Value, int], ...], what: str, index: int) -> None:
         """Refuse, before it is expanded, a product of powers base^n over the
-        pairs (base, n) whose degree exceeds MAX_EXPONENT or whose size
-        exceeds MAX_POWER_SIZE, or that takes the expression's total past
-        MAX_EXPRESSION_SIZE. A power is one pair, a product p*q the pairs
-        (p, 1), (q, 1); the error points at the token at index.
-
-        The size bounds the work from the coefficient bits, at most the sum
-        of n*log2(base.height). A product of monomials is a shift, so its
-        bits are its size. Any other result has deg+1 coefficients of at most
-        that many bits, and squaring or convolving takes (deg+1)^2 products
-        however small they are, so the bits count at least deg+1 each; only
-        these quadratic sizes count towards the total.
-        """
+        pairs (base, n) that `check_size` refuses, with bits the sum of
+        n*log2(base.height), or whose dense size takes the expression's total
+        past MAX_EXPRESSION_SIZE. A power is one pair, a product p*q the
+        pairs (p, 1), (q, 1); the error points at the token at index."""
         monomials, degree, bit_lengths = True, 0, 0
         for base, n in factors:
             if type(base) is tuple:
@@ -131,21 +141,19 @@ class _Parser:
             else:
                 monomials = False
                 degree += base.degree * n
-        if degree > MAX_EXPONENT:
-            raise self._error(f"{what} has degree above {MAX_EXPONENT}", index)
-        if monomials and bit_lengths <= MAX_POWER_SIZE:
-            return
-        bits = 0.0
-        for base, n in factors:
-            height = max(abs(base[0]), base[1]) if type(base) is tuple else base.height
-            bits += n * math.log2(height)
+        bits = 0.0  # stands for the monomials' bits when their bit lengths are in budget
+        if not monomials or bit_lengths > MAX_POWER_SIZE:
+            for base, n in factors:
+                height = max(abs(base[0]), base[1]) if type(base) is tuple else base.height
+                bits += n * math.log2(height)
+        try:
+            size = check_size(degree, bits, what, dense=not monomials)
+        except InputError as exc:
+            raise self._error(str(exc), index) from None
         if not monomials:
-            bits = (degree + 1) * max(degree + 1, bits)
-            self.size += bits
-        if bits > MAX_POWER_SIZE:
-            raise self._error(f"{what} has size above {MAX_POWER_SIZE} bits", index)
-        if self.size > MAX_EXPRESSION_SIZE:
-            raise self._error(f"expression has size above {MAX_EXPRESSION_SIZE} bits", index)
+            self.size += size
+            if self.size > MAX_EXPRESSION_SIZE:
+                raise self._error(f"expression has size above {MAX_EXPRESSION_SIZE} bits", index)
 
     def parse(self) -> Poly:
         value, pos = self.expr(0)

@@ -381,25 +381,17 @@ def ext_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
 
 def bezout_many(fs: Sequence[Poly]) -> tuple[Poly, list[Poly]]:
     """Monic gcd g of the family plus coefficients with sum(c_i * f_i) = g."""
-    if not fs:
-        raise DomainError("bezout_many needs a nonempty family")
     if all(f.is_zero() for f in fs):
-        raise DomainError("bezout_many of an all-zero family is undefined")
-    g = fs[0]
-    coeffs = [Poly.one()]
-    for f in fs[1:]:
-        if g.is_zero():
-            # everything so far was zero; restart at f
-            g = f
-            coeffs = [Poly.zero()] * len(coeffs) + [Poly.one()]
-            continue
-        g2, s, t = ext_gcd(g, f)
-        coeffs = [s * c for c in coeffs] + [t]
-        g = g2
-    if not g.is_zero() and g.leading != 1:
-        inv = Poly.const(Fraction(1) / g.leading)
-        coeffs = [inv * c for c in coeffs]
-        g = g.monic()
+        raise DomainError("bezout_many needs a nonzero member")
+    g, coeffs = Poly.zero(), []
+    for f in fs:
+        if f.is_zero():
+            coeffs.append(Poly.zero())
+        elif g.is_zero():  # ext_gcd(0, f), without its division
+            g, coeffs = f.monic(), coeffs + [Poly.const(1 / f.leading)]
+        else:
+            g, s, t = ext_gcd(g, f)
+            coeffs = [s * c for c in coeffs] + [t]
     return g, coeffs
 
 
@@ -521,7 +513,8 @@ def _real_part_cached(prim: tuple[int, ...]) -> Poly:
         if real == q.degree:
             out = out * q
         elif real:
-            for f, _ in _factor_cached(q._c, q._p).factors:
+            for f in zassenhaus(comp[::-1]):  # comp is squarefree already
+                f = _canonical(f, 1, 1).monic()
                 if has_real_root(f):
                     out = out * f
     return out

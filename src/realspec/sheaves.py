@@ -302,7 +302,7 @@ def stalk_at(s: Section, p: RealPrime) -> StalkElement:
     for patch in s.patches:
         if not p.contains(patch.denominator):
             return StalkElement(p, patch.numerator, patch.denominator)
-    raise AssertionError("a validated section covers every prime of its domain")
+    raise NotASectionError(f"no patch covers the prime {p}")
 
 
 def stalk_eq(e1: StalkElement, e2: StalkElement) -> bool:

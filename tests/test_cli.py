@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib.util
 import io
@@ -8,10 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import realspec
-from realspec.cli import MAX_POWER_BITS, MAX_POWER_DEGREE, build_parser, main
-from realspec.parsing import parse_poly, parse_ring
+from realspec.cli import build_parser, main
+from realspec.parsing import MAX_EXPONENT, MAX_POWER_SIZE, parse_poly, parse_ring
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,6 +91,16 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "(x^2 + 1) is not a real prime of Q[x]/(x^3 - x^2 + x - 1)" in err
         assert run(capsys, *argv, "x-1")[:2] == (0, "1 / 1 at (x - 1)\n")
+
+    @pytest.mark.parametrize(
+        "ring, f, patch, prime", [("Q[x]", "x", "0:1", "0"), ("Q[x]/(x^3-x)", "1", "x:1", "x")]
+    )
+    def test_no_patch_covers_the_prime(self, capsys, ring, f, patch, prime):
+        # data that is no section: the one patch's denominator lies in the prime
+        argv = ("section", "stalk", "--ring", ring, "--f", f, "--patch", patch, "--prime", prime)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: no patch covers the prime ({prime})\n"
 
     def test_nested_power_degree(self, capsys):
         code, out, err = run(capsys, "sturm", "((x)^65536)^65536")
@@ -436,11 +448,30 @@ class TestMalformedCertificates:
         assert _usage_error(*run(capsys, "cert", "verify", str(tmp_path / "none.json")))
 
 
-def _power_degree(doc: dict) -> int:
-    """2m * max(deg base, 1) of the power a document asks cert verify to expand."""
+def _in_budget(degree: int, bits: int) -> bool:
+    """The size rule of `parsing`, from its constants: degree at most
+    MAX_EXPONENT and (degree+1) * max(degree+1, bits) at most MAX_POWER_SIZE."""
+    return degree <= MAX_EXPONENT and (degree + 1) * max(degree + 1, bits) <= MAX_POWER_SIZE
+
+
+def _power(doc: dict) -> tuple[int, int]:
+    """The degree 2m * max(deg base, 1) and the bits 2m * (bit length of the
+    base's height) of the power base^(2m) a document asks cert verify to expand."""
     ring = parse_ring(doc["ring"])
     base = ring.elem(parse_poly(doc["element"] if doc["kind"] == "real-radical" else doc["f"]))
-    return 2 * doc["k" if doc["kind"] == "glue" else "m"] * max(base.rep.degree, 1)
+    n = 2 * doc["k" if doc["kind"] == "glue" else "m"]
+    return n * max(base.rep.degree, 1), n * base.rep.height.bit_length()
+
+
+def _largest_exponent(doc: dict, key: str) -> int:
+    """The largest doc[key] whose power is within the budget; doc keeps it."""
+    doc[key] = 0
+    while _in_budget(*_power({**doc, key: doc[key] + 1})):
+        doc[key] += 1
+    return doc[key]
+
+
+_BASE_KEY = {"real-radical": "element", "subcover": "f", "glue": "f"}
 
 
 class TestExponentBudget:
@@ -449,56 +480,65 @@ class TestExponentBudget:
         path.write_text(json.dumps(doc))
         return run(capsys, "cert", "verify", str(path))
 
+    def _refused(self, capsys, tmp_path, doc):
+        assert not _in_budget(*_power(doc))
+        code, out, err = self._verify(capsys, tmp_path, doc)
+        return _usage_error(code, out, err) and " above " in err
+
     @pytest.mark.parametrize(
         "kind, key", [("real-radical", "m"), ("subcover", "m"), ("glue", "k")]
     )
     def test_document_exponent(self, capsys, tmp_path, kind, key):
         code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
         doc = json.loads(out)
-        base = "element" if kind == "real-radical" else "f"
-        doc[base], doc[key] = "x^2", 1  # degree 2, or 1 once reduced in Q[x]/(x^2-x)
-        doc[key] = MAX_POWER_DEGREE // _power_degree(doc)
-        assert _power_degree(doc) == MAX_POWER_DEGREE
-        code, out, _ = self._verify(capsys, tmp_path, doc)
-        assert code == 0 and out.startswith("verified: ")
-        doc[key] += 1
-        assert _usage_error(*self._verify(capsys, tmp_path, doc))
-        doc[base], doc[key] = "3", MAX_POWER_DEGREE // 2 + 1  # a constant counts as degree 1
-        assert _usage_error(*self._verify(capsys, tmp_path, doc))
+        # x^2 has degree 2, or 1 once reduced in Q[x]/(x^2-x); x+1 and 3 have
+        # more bits than degree, and a constant counts as degree 1
+        for base, degree in (("x^2", 1 if kind == "glue" else 2), ("x+1", 1), ("3", 1)):
+            doc[_BASE_KEY[kind]] = base
+            m = _largest_exponent(doc, key)
+            assert _power(doc)[0] == 2 * m * degree
+            code, out, _ = self._verify(capsys, tmp_path, doc)
+            assert code == 0 and out.startswith("verified: ")
+            doc[key] = m + 1
+            assert self._refused(capsys, tmp_path, doc)
 
     @pytest.mark.parametrize(
         "kind, key", [("real-radical", "m"), ("subcover", "m"), ("glue", "k")]
     )
     @pytest.mark.parametrize(
-        "base, at_limit, over",
+        "base, bits, over",
         [
-            # an integer coefficient of 32 bits: 2m * 32 = MAX_POWER_BITS
-            ("x + 2147483649", MAX_POWER_BITS // 64, "x + 4294967297"),
-            # each denominator has 16 bits, their common denominator 32
-            ("1/65535*x + 1/65521", MAX_POWER_BITS // 64, "1/65535*x + 1/65539"),
+            # an integer coefficient of 32 bits, and one of 33
+            ("x + 2147483649", 32, "x + 4294967297"),
+            # each denominator has 16 bits, their common denominator 32, and 33
+            ("1/65535*x + 1/65521", 32, "1/65535*x + 1/65539"),
         ],
     )
-    def test_document_coefficient_bits(self, capsys, tmp_path, kind, key, base, at_limit, over):
+    def test_document_coefficient_bits(self, capsys, tmp_path, kind, key, base, bits, over):
+        assert (parse_poly(base).height.bit_length(), parse_poly(over).height.bit_length()) == (
+            bits, bits + 1
+        )
         code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
         doc = json.loads(out)
-        name = "element" if kind == "real-radical" else "f"
-        doc[name], doc[key] = base, at_limit
-        assert _power_degree(doc) <= MAX_POWER_DEGREE
+        name = _BASE_KEY[kind]
+        doc[name] = base
+        m = _largest_exponent(doc, key)
+        assert _power(doc)[1] == 2 * m * bits
         code, out, _ = self._verify(capsys, tmp_path, doc)
         assert code == 0 and out.startswith("verified: ")
-        for doc[name], doc[key] in ((base, at_limit + 1), (over, at_limit)):
-            assert _power_degree(doc) <= MAX_POWER_DEGREE
-            code, out, err = self._verify(capsys, tmp_path, doc)
-            assert _usage_error(code, out, err) and f"{MAX_POWER_BITS} bits" in err
+        for doc[name], doc[key] in ((base, m + 1), (over, m)):
+            assert self._refused(capsys, tmp_path, doc)
 
     def test_former_slow_document(self, capsys, tmp_path):
         """A degree-1 base with 30-bit coefficients and m = 64 took seconds to
-        verify before the coefficient-size budget."""
+        verify before the power was costed as dense; it is within the budget
+        and verifies at once."""
         code, out, _ = run(capsys, "cert", "find", "--json", "x^2+1", "1")
         doc = json.loads(out)
         doc["element"], doc["m"] = "123456789/987654321*x-1", 64
+        assert _in_budget(*_power(doc))
         code, out, err = self._verify(capsys, tmp_path, doc)
-        assert _usage_error(code, out, err) and "bits" in err
+        assert code == 0 and out.startswith("verified: ")
 
     def test_former_runaway_document(self, capsys, tmp_path):
         code, out, _ = run(capsys, "cert", "find", "--json", "x^2+1", "x+1")
@@ -506,22 +546,40 @@ class TestExponentBudget:
         doc["m"] = 100000
         assert _usage_error(*self._verify(capsys, tmp_path, doc))
 
+    def _sigma_eq_limit(self, base: str):
+        """argv of sigma-eq over base at its largest exponent m, and m."""
+        doc = {"kind": "subcover", "ring": "Q[x]", "f": base}
+        m = _largest_exponent(doc, "m")
+        argv = ["sigma-eq", "--f", base, "--num1", "x", "--num2", "x", "--m1", str(m), "--m2"]
+        return [*argv, str(m)], m
+
     @pytest.mark.parametrize("flag", ["--m1", "--m2"])
     def test_sigma_eq_exponent(self, capsys, flag):
-        m = MAX_POWER_DEGREE // 4  # (x^2+1)^(2m) has degree MAX_POWER_DEGREE
-        argv = ["sigma-eq", "--f", "x^2+1", "--num1", "x", "--num2", "x", "--m1", str(m)]
-        code, out, _ = run(capsys, *argv, "--m2", str(m))
-        assert (code, out) == (0, "true\n")
-        assert _usage_error(*run(capsys, *argv, "--m2", str(m), flag, str(m + 1)))
+        argv, m = self._sigma_eq_limit("x^2+1")  # degree 4m, and bits 4m from height 2
+        assert not _in_budget(4 * (m + 1), 4 * (m + 1))
+        assert run(capsys, *argv)[:2] == (0, "true\n")
+        code, out, err = run(capsys, *argv, flag, str(m + 1))
+        assert _usage_error(code, out, err) and f"has size above {MAX_POWER_SIZE} bits" in err
 
     @pytest.mark.parametrize("flag", ["--m1", "--m2"])
     def test_sigma_eq_coefficient_bits(self, capsys, flag):
-        m = MAX_POWER_BITS // 64  # x + 2147483649 has 32 bits; degree 2m = 64 is in budget
-        argv = ["sigma-eq", "--f", "x + 2147483649", "--num1", "x", "--num2", "x", "--m1", str(m)]
-        code, out, _ = run(capsys, *argv, "--m2", str(m))
-        assert (code, out) == (0, "true\n")
-        code, out, err = run(capsys, *argv, "--m2", str(m), flag, str(m + 1))
-        assert _usage_error(code, out, err) and f"{MAX_POWER_BITS} bits" in err
+        argv, m = self._sigma_eq_limit("x + 2147483649")  # 32 bits at degree 1
+        assert not _in_budget(2 * (m + 1), 64 * (m + 1))
+        assert run(capsys, *argv)[:2] == (0, "true\n")
+        code, out, err = run(capsys, *argv, flag, str(m + 1))
+        assert _usage_error(code, out, err) and f"has size above {MAX_POWER_SIZE} bits" in err
+
+    def test_quotient_lift(self, capsys):
+        """A monomial lift is a cheap shift to parse, not to reduce: in a
+        quotient, a lift of degree at least the modulus's is held to the
+        budget as a dense value of its degree."""
+        argv = ["cover", "--ring", "Q[x]/((x+2)^200)", "--f"]
+        assert not _in_budget(65536, 1) and _in_budget(1023, 1)
+        code, out, err = run(capsys, *argv, "x^65536", "x")
+        assert _usage_error(code, out, err) and f"has size above {MAX_POWER_SIZE} bits" in err
+        assert run(capsys, *argv, "x^1023", "x")[:2] == (0, "true\n")
+        # in Q[x] nothing is reduced, so nothing more is costed
+        assert run(capsys, "cover", "--f", "x^65536", "x")[:2] == (0, "true\n")
 
     def test_certify_corpus_within_budget(self, capsys, monkeypatch):
         """Every document of the benchmark's certify corpus stays under the
@@ -536,7 +594,7 @@ class TestExponentBudget:
                 if doc.get("member") is False:
                     continue
                 documents += 1
-                assert _power_degree(doc) <= MAX_POWER_DEGREE
+                assert _in_budget(*_power(doc))
                 monkeypatch.setattr("sys.stdin", io.StringIO(out))
                 assert run(capsys, "cert", "verify")[:2] == (0, "verified: true\n")
         assert documents > 60
@@ -631,3 +689,120 @@ class TestExplore:
         )
         assert code == 0
         assert "counterexample" not in out.lower()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main: every argv ends in 0, 2 or 3 and no exception escapes
+
+_FACTORS = ["x", "x-1", "x+2", "2*x-1", "x^2+1", "x^2-2", "x^2+x+1", "3", "1/2", "0"]
+_valid_texts = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(_FACTORS), st.integers(1, 3)), min_size=1, max_size=3
+    ).map(lambda fs: "*".join(f"({f})^{e}" for f, e in fs)),
+    st.lists(st.integers(-5, 5), min_size=1, max_size=5).map(
+        lambda cs: "+".join(f"({c})*x^{i}" for i, c in enumerate(cs))
+    ),
+)
+_poly_texts = st.one_of(_valid_texts, _valid_texts, st.text(alphabet="x0129^*+-()/ ", max_size=10))
+_rings = st.one_of(
+    st.just("Q[x]"), _poly_texts.map(lambda p: f"Q[x]/({p})"), st.sampled_from(["Q[x]/(0)", "R[x]"])
+)
+_patches = st.lists(
+    st.tuples(_poly_texts, _poly_texts).map(":".join) | st.sampled_from(["x", "0:1", "1:0", "1:x"]),
+    min_size=1, max_size=3,
+)
+_exponents = st.integers(-2, 4).map(lambda m: [str(m)])
+_sos = st.lists(_poly_texts, max_size=2).map(lambda terms: [",".join(terms)])
+
+
+def _cat(*parts):
+    """The concatenation of the argv pieces that the strategies parts draw."""
+    return st.tuples(*parts).map(lambda t: [a for part in t for a in part])
+
+
+def _flags(flag: str, values: st.SearchStrategy):
+    return values.map(lambda vs: [a for v in vs for a in (flag, v)])
+
+
+def _command(*names: str):
+    """One of the commands named, split into argv words."""
+    return st.sampled_from(names).map(str.split)
+
+
+_ring = st.tuples(_rings, st.booleans()).map(lambda t: ["--ring", t[0]] + ["--json"] * t[1])
+_one = _poly_texts.map(lambda p: [p])
+_gens = st.lists(_poly_texts, min_size=1, max_size=3)
+_f = _poly_texts.map(lambda p: ["--f", p])
+_section = _cat(_ring, _f, _flags("--patch", _patches))
+_fraction = [
+    _cat(_flags(f"--num{i}", _one), _flags(f"--m{i}", _exponents), _flags(f"--sos{i}", _sos))
+    for i in (1, 2)
+]
+_argv = st.one_of(
+    _cat(_command("factor", "real-part", "sturm"), _one),
+    _cat(_command("real-radical"), _ring, _one),
+    _cat(_command("classify", "primes"), _ring),
+    _cat(_command("vset union", "vset intersect", "vset subset"), _ring, _gens),
+    _cat(_command("cover", "subcover"), _ring, _f, _gens),
+    _cat(_command("cert find"), _ring, _one, _one),
+    _cat(_command("section validate", "section glue"), _section),
+    _cat(_command("section eq"), _section, _flags("--other", _patches)),
+    _cat(_command("section stalk"), _section, _flags("--prime", _one)),
+    _cat(_command("sigma-eq"), _ring, _f, *_fraction),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 5)).map(
+        lambda t: ["explore-question", "--rings", str(t[0]), "--trials", str(t[1]),
+                   "--deg-max", str(t[2]), "--seed", "1"]
+    ),
+)
+
+
+def _main(argv: list, stdin: str = "") -> tuple[int, str, str]:
+    """main(argv) with stdin given and its output captured; argparse's
+    SystemExit counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def _documents() -> tuple[str, ...]:
+    return tuple(_main(argv)[1] for argv in _CERT_COMMANDS.values())
+
+
+@st.composite
+def _cert_verify(draw):
+    """cert verify of a document of some kind, with up to two fields replaced or deleted."""
+    doc = json.loads(draw(st.sampled_from(_documents())))
+    values = st.one_of(
+        _poly_texts, st.integers(-2, 400), st.lists(_poly_texts, max_size=3),
+        st.lists(st.integers(-1, 3), max_size=3), st.just(_MISSING),
+    )
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2)):
+        value = draw(values)
+        if value is _MISSING:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    return ["cert", "verify"], json.dumps(doc)
+
+
+class TestFuzz:
+    @given(st.one_of(_argv.map(lambda argv: (argv, "")), _cert_verify()))
+    @example((["cover", "--ring", "Q[x]/((x+2)^200)", "--f", "x^65536", "x"], ""))
+    @example((["section", "stalk", "--f", "x", "--patch", "0:1", "--prime", "0"], ""))
+    @example((["section", "glue", "--f", "1", "--patch", "0:1"], ""))
+    @settings(max_examples=200, deadline=None)
+    def test_main_ends_in_an_exit_code(self, case):
+        argv, stdin = case
+        code, out, err = _main(argv, stdin)
+        assert code in (0, 2, 3), (argv, stdin, err)
+        assert "Traceback" not in err
+        if code == 3:
+            assert out == "" and err.startswith("error: ")
