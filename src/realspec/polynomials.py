@@ -17,13 +17,15 @@ On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
 complete factorization over Q, Sturm real-root counting, and the real part
 (the monic product of the real-rooted irreducible factors). Factoring and
-the real part go one squarefree component (Yun, sympy's ``dup_sqf_list``) at
-a time, and the real part factors only what a Sturm count cannot settle. A
-component is factored by `zassenhaus` on Python ints: Cantor-Zassenhaus mod
-a small prime p, a Hensel lift to p^l past twice the Mignotte bound
-sqrt(n+1) * 2^n * max|coefficient| * lc, and recombination of the lifted
-factors. Yun, gcd and the Sturm pseudo-remainders hand ``_p`` to sympy's
-dense ``dup_*`` routines over ZZ; Bezout runs on Poly arithmetic. Root
+the real part go one squarefree component at a time, and the real part
+factors only what a Sturm count cannot settle; a root count is the sum of
+the Sturm counts of the components. gcd, Yun's squarefree decomposition and
+factoring run on ``_p`` in the Z[x] kernel `zassenhaus`, on Python ints: a
+heuristic gcd at a power of two checked by exact division, Yun on its
+cofactors, and per component Cantor-Zassenhaus mod a small prime p, a Hensel
+lift to p^l past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient|
+* lc, and recombination of the lifted factors. The Sturm pseudo-remainders
+are sympy's ``dup_prem`` over ZZ; Bezout runs on Poly arithmetic. Root
 counts and real parts are invariant under scaling, so their caches are keyed
 on ``_p``; factorizations on ``(content, _p)``.
 """
@@ -41,11 +43,9 @@ from typing import Iterable, Sequence, Union
 from sympy.polys.densearith import dup_prem
 from sympy.polys.densetools import dup_diff
 from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_gcd
-from sympy.polys.sqfreetools import dup_sqf_list
 
+from . import zassenhaus as kernel
 from .errors import DomainError
-from .zassenhaus import zassenhaus
 
 #: Degree of the zero polynomial. A distinguished marker that still compares
 #: below every integer degree; never a -1 sentinel.
@@ -53,7 +53,7 @@ NEG_INF = float("-inf")
 
 #: Entries each cache keeps: factor, root count and real part here, and -1 as
 #: a sum of squares mod a prime (`rings._neg_one_sos_mod`).
-CACHE_SIZE = 1 << 12
+CACHE_SIZE = 1 << 10
 
 Coeff = Union[Fraction, int]
 
@@ -344,6 +344,11 @@ def _canonical(ints: list[int], num: int, den: int) -> Poly:
     return _make(Fraction(num * g, den), tuple(ints))
 
 
+def _monic(prim: list[int]) -> Poly:
+    """The monic Poly of a primitive prim with positive last entry."""
+    return _make(Fraction(1, prim[-1]), tuple(prim))
+
+
 _ZERO = _make(Fraction(0), ())
 _ONE = _make(Fraction(1), (1,))
 _X = _make(Fraction(1), (0, 1))
@@ -359,7 +364,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
         raise DomainError("gcd(0, 0) is undefined")
     if len(p._p) == 1 or len(q._p) == 1:  # one is a nonzero constant
         return _ONE
-    return _canonical(dup_gcd(list(reversed(p._p)), list(reversed(q._p)), ZZ)[::-1], 1, 1).monic()
+    return _monic(kernel.gcd(list(p._p), list(q._p))[0])
 
 
 def ext_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
@@ -396,7 +401,7 @@ def bezout_many(fs: Sequence[Poly]) -> tuple[Poly, list[Poly]]:
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q (Yun from sympy, each component by `zassenhaus`)
+# factorization over Q (Yun, then each component by `zassenhaus`)
 
 
 @dataclass(frozen=True)
@@ -420,7 +425,7 @@ class Factorization:
 def factor(p: Poly) -> Factorization:
     """Complete factorization of a nonzero polynomial into monic irreducibles.
 
-    sympy's Yun (``dup_sqf_list``) splits the primitive part into squarefree
+    Yun's decomposition splits the primitive part into squarefree
     components, each carrying its multiplicity; `zassenhaus` factors each
     component over Z (Cantor-Zassenhaus mod p, Hensel lift past twice the
     Mignotte bound, recombination). Cached on ``(content, _p)``."""
@@ -432,11 +437,7 @@ def factor(p: Poly) -> Factorization:
 @lru_cache(maxsize=CACHE_SIZE)
 def _factor_cached(content: Fraction, prim: tuple[int, ...]) -> Factorization:
     # The factors are monic, so the unit is the leading coefficient.
-    pairs = [
-        (_canonical(f, 1, 1).monic(), mult)
-        for comp, mult in dup_sqf_list(list(reversed(prim)), ZZ)[1]
-        for f in zassenhaus(comp[::-1])
-    ]
+    pairs = [(_monic(f), mult) for comp, mult in kernel.yun(list(prim)) for f in kernel.zassenhaus(comp)]
     pairs.sort(key=lambda pm: pm[0].sort_key())
     return Factorization(content * prim[-1], tuple(pairs))
 
@@ -453,7 +454,8 @@ def is_irreducible(p: Poly) -> bool:
 
 
 def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots, by Sturm's theorem."""
+    """Number of distinct real roots: the sum of the Sturm counts of the
+    squarefree components."""
     if p.is_zero():
         raise DomainError("root count of the zero polynomial is undefined")
     return _count_real_roots_cached(p._p)
@@ -461,15 +463,16 @@ def count_real_roots(p: Poly) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _count_real_roots_cached(prim: tuple[int, ...]) -> int:
-    # Primitive Sturm sequence over ZZ: each pseudo-remainder lc(g)^(d+1) * r
-    # is scaled back to a positive multiple of the true remainder r, then
-    # negated and divided by its content. p needs no squarefree part: the
-    # last entry is gcd(p, p'), which divides every entry and so changes no
-    # sign variation at +-inf.
-    seq = [list(reversed(prim))]
-    if len(seq[0]) <= 1:
-        return 0
-    seq.append(dup_diff(seq[0], 1, ZZ))
+    return sum(_sturm(comp[::-1]) for comp, _mult in kernel.yun(list(prim)))
+
+
+def _sturm(f: list[int]) -> int:
+    """The number of distinct real roots of f, of positive degree, listed in
+    sympy's order (highest degree first). Primitive Sturm sequence over ZZ:
+    each pseudo-remainder lc(g)^(d+1) * r is scaled back to a positive
+    multiple of the true remainder r, then negated and divided by its
+    content."""
+    seq = [f, dup_diff(f, 1, ZZ)]
     while True:
         f, g = seq[-2], seq[-1]
         r = dup_prem(f, g, ZZ)
@@ -507,14 +510,14 @@ def real_part(p: Poly) -> Poly:
 @lru_cache(maxsize=CACHE_SIZE)
 def _real_part_cached(prim: tuple[int, ...]) -> Poly:
     out = Poly.one()
-    for comp, _mult in dup_sqf_list(list(reversed(prim)), ZZ)[1]:
-        q = _canonical(comp[::-1], 1, 1).monic()
+    for comp, _mult in kernel.yun(list(prim)):
+        q = _monic(comp)
         real = count_real_roots(q)
         if real == q.degree:
             out = out * q
         elif real:
-            for f in zassenhaus(comp[::-1]):  # comp is squarefree already
-                f = _canonical(f, 1, 1).monic()
+            for f in kernel.zassenhaus(comp):  # comp is squarefree already
+                f = _monic(f)
                 if has_real_root(f):
                     out = out * f
     return out

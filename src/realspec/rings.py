@@ -466,8 +466,11 @@ def _perturbed_sos(p: Poly) -> Weighted:
     roots to rationals, and absorb the exact remainder u into the eps
     terms: odd terms through (x^(i+1) +- x^i)^2, and what is left on each
     even power must stay nonnegative. Higher precision shrinks u while eps
-    stays fixed, so doubling it ends the loop.
+    stays fixed, so doubling it ends the loop. A p that is not positive
+    definite is a `DomainError`: for a real root no eps > 0 is small enough.
     """
+    if not _positive_definite(p):
+        raise DomainError("univsos2 needs a positive definite polynomial")
     d = p.degree // 2
     evens = Poly([1 - k % 2 for k in range(2 * d + 1)])
     eps = p.leading / 2

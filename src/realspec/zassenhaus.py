@@ -1,11 +1,21 @@
-"""Factoring a primitive squarefree polynomial over Z.
+"""The Z[x] kernel on Python ints: gcd, squarefree decomposition and factoring.
 
-Cantor and Zassenhaus over GF(p), a quadratic multifactor Hensel lift to p^l
-and recombination of the lifted factors, as in von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 14-15. Polynomials are lists of Python ints,
-index = degree, entries in [0, m) for the modulus m at hand. A product is one
-big-int multiply by Kronecker substitution: the entries are packed w bits
-apiece, w wide enough for the largest convolution sum, and read back off.
+Polynomials are lists of Python ints, index = degree. A polynomial is packed
+into one big int by Kronecker substitution, its entries placed w bits apart;
+packing and unpacking split the list in halves, so both stay subquadratic.
+
+- `gcd` is the heuristic gcd GCDHEU (Char, Geddes and Gonnet, *J. Symbolic
+  Comput.* 1989) at a power of two: f and g are evaluated at 2^k by packing,
+  the integer gcd of the values is read back as signed base-2^k digits, and a
+  candidate is checked by exact long division, which gives the cofactors.
+  After `HEU_TRIES` misses sympy's subresultant gcd finishes the job.
+- `yun` is Yun's squarefree decomposition (SYMSAC 1976) on `gcd`'s cofactors.
+- `zassenhaus` factors a squarefree f: Cantor and Zassenhaus over GF(p), a
+  quadratic multifactor Hensel lift to p^l and recombination of the lifted
+  factors, as in von zur Gathen and Gerhard, *Modern Computer Algebra*,
+  ch. 14-15. Entries are in [0, m) for the modulus m at hand, and a product
+  is one big-int multiply of the packed operands, w wide enough for the
+  largest convolution sum.
 """
 
 from __future__ import annotations
@@ -14,20 +24,134 @@ import math
 import random
 from itertools import combinations, zip_longest
 
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_rr_prs_gcd
+
+#: Evaluation points GCDHEU tries before it falls back to the subresultant gcd.
+HEU_TRIES = 6
+
+_LEAF = 32  # entries below which packing and unpacking go one entry at a time
+
 
 def _pack(a: list[int], w: int) -> int:
-    x = 0
-    for c in reversed(a):
-        x = x << w | c
-    return x
+    """The sum of a[i] * 2^(w*i); entries of either sign."""
+    if len(a) <= _LEAF:
+        x = 0
+        for c in reversed(a):
+            x = (x << w) + c
+        return x
+    k = len(a) // 2
+    return _pack(a[:k], w) + (_pack(a[k:], w) << w * k)
 
 
 def _unpack(x: int, w: int) -> list[int]:
-    mask, out = (1 << w) - 1, []
-    while x:
-        out.append(x & mask)
-        x >>= w
-    return out
+    """The base-2^w digits of x >= 0, lowest first, up to its highest nonzero one."""
+    k = x.bit_length() // w // 2
+    if k < _LEAF:
+        mask, out = (1 << w) - 1, []
+        while x:
+            out.append(x & mask)
+            x >>= w
+        return out
+    low = _unpack(x & ((1 << w * k) - 1), w)
+    return low + [0] * (k - len(low)) + _unpack(x >> w * k, w)
+
+
+def _unpack_signed(x: int, w: int) -> list[int]:
+    """The a with _pack(a, w) == x and entries in [-2^(w-1), 2^(w-1)), up to
+    its highest nonzero one: x plus 2^(w-1) in each of n places, n past its
+    length, has the digits a[i] + 2^(w-1)."""
+    half, n = 1 << (w - 1), x.bit_length() // w + 2
+    return _trim([c - half for c in _unpack(x + _pack([half] * n, w), w)])
+
+
+def _quo(f: list[int], h: list[int]) -> list[int] | None:
+    """f / h over Z by long division, or None as soon as h does not divide f:
+    at the first leading entry that lc(h) does not divide, or at a nonzero
+    remainder."""
+    m, lead = len(h) - 1, h[-1]
+    if len(f) <= m:
+        return None
+    r, low, q = list(f), h[:-1], [0] * (len(f) - m)
+    for k in range(len(f) - 1, m - 1, -1):
+        c = r[k]
+        if c:
+            c, rest = divmod(c, lead)
+            if rest:
+                return None
+            q[k - m] = c
+            r[k - m:k] = [x - c * y for x, y in zip(r[k - m:k], low)]
+    return None if any(r[:m]) else q
+
+
+def _heu_gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """GCDHEU for primitive f, g of positive degree and positive leading entry,
+    with sympy's first point xi and its schedule, each xi rounded up to 2^k
+    with k = xi.bit_length() + 1. xi is at least 2 + 2 * |f|/lc(f) for f or g,
+    past twice a root bound, so a nonconstant gcd G has |G(2^k)| > 2^(k-1):
+    a constant candidate means gcd 1, and a candidate dividing f and g is G."""
+    fn, gn = max(map(abs, f)), max(map(abs, g))
+    b = 2 * min(fn, gn) + 29
+    xi = max(min(b, 99 * math.isqrt(b)), 2 * min(fn // f[-1], gn // g[-1]) + 4)
+    for _ in range(HEU_TRIES):
+        k = xi.bit_length() + 1
+        h = math.gcd(_pack(f, k), _pack(g, k))
+        if 0 < h < 1 << (k - 1):  # one signed digit: a constant candidate
+            return [1], f, g
+        if h:
+            h = _primitive(_unpack_signed(h, k))
+            qf = _quo(f, h)
+            qg = qf and _quo(g, h)
+            if qg:
+                return h, qf, qg
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return [list(reversed(a)) for a in dup_rr_prs_gcd(f[::-1], g[::-1], ZZ)]
+
+
+def gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(h, f/h, g/h) for f, g not both zero: h the gcd over Z, with positive
+    leading entry and content gcd(content f, content g), as sympy's
+    dup_inner_gcd."""
+    if not f or not g:
+        a = f or g
+        s = 1 if a[-1] > 0 else -1
+        return [s * c for c in a], [s] if f else [], [s] if g else []
+    cf, cg = math.gcd(*f), math.gcd(*g)
+    cf, cg = cf if f[-1] > 0 else -cf, cg if g[-1] > 0 else -cg
+    c = math.gcd(cf, cg)
+    f, g = [x // cf for x in f], [x // cg for x in g]
+    h = _heu_gcd(f, g) if len(f) > 1 and len(g) > 1 else ([1], f, g)
+    return [c * x for x in h[0]], [cf // c * x for x in h[1]], [cg // c * x for x in h[2]]
+
+
+def yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive f with positive leading
+    entry: the (a, i) with a of positive degree, f the product of the a^i,
+    the a squarefree, pairwise coprime, primitive with positive leading
+    entry, i increasing.
+
+    With b the product of the factors of multiplicity >= i and c, d as in
+    Yun, every cofactor is exact, so d = c - b' has degree deg(b) - 1 unless
+    it is 0. d = 0 ends at b; a constant d leaves one linear factor b of
+    multiplicity i + d/lc(b), reached directly, not by d/lc(b) more turns
+    of a = gcd(b, d) = 1."""
+    if len(f) < 2:
+        return []
+    _, b, c = gcd(f, _derivative(f))
+    out, i = [], 1
+    while True:
+        d = _trim([x - y for x, y in zip_longest(c, _derivative(b), fillvalue=0)])
+        if len(d) <= 1:
+            out.append((b, i + d[0] // b[1] if d else i))
+            return out
+        a, b, c = gcd(b, d)
+        if len(a) > 1:
+            out.append((a, i))
+        i += 1
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 def _mul(a: list[int], b: list[int], m: int) -> list[int]:
@@ -218,7 +342,7 @@ def zassenhaus(f: list[int]) -> list[list[int]]:
             continue
         inv = pow(lc, -1, p)
         fp = [c * inv % p for c in f]
-        if len(_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+        if len(_gcd(fp, _trim([c % p for c in _derivative(fp)]), p)) > 1:
             continue
         tried.append((len(fs := _gf_factor(fp, p)), p, fs))
         if len(fs) < 15 or len(tried) == 5:

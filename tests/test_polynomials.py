@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_inner_gcd
+from sympy.polys.sqfreetools import dup_sqf_list
 
 import realspec.zassenhaus as zassenhaus
 from realspec import (
@@ -18,7 +21,7 @@ from realspec import (
     real_part,
 )
 from realspec.parsing import parse_poly as P
-from realspec.polynomials import _factor_cached
+from realspec.polynomials import _count_real_roots_cached, _factor_cached
 
 from helpers import (
     count_real_roots_oracle,
@@ -496,3 +499,123 @@ class TestIntegerKernelCrossCheck:
         assert gcd(P("3"), p) == gcd(P("1/2"), P("5")) == Poly.one()
         assert count_real_roots(P("-5")) == 0
         assert count_real_roots(P("-(x^2-2)^3*(x^2+1)")) == 2
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def int_polys(draw, max_deg=8, sparse_deg=300):
+    """A nonzero integer list, index = degree: dense with 3, 10 or 40 bit
+    entries and a leading entry of either sign, or sparse up to sparse_deg."""
+    if draw(st.booleans()):
+        bound = 1 << draw(st.sampled_from([3, 10, 40]))
+        low = draw(st.lists(st.integers(-bound, bound), max_size=max_deg))
+        return low + [draw(st.integers(1, bound)) * draw(st.sampled_from([-1, 1]))]
+    degrees = draw(st.lists(st.integers(0, sparse_deg), min_size=1, max_size=4, unique=True))
+    out = [0] * (max(degrees) + 1)
+    for k in degrees:
+        out[k] = draw(st.integers(-9, 9).filter(bool))
+    return out
+
+
+@st.composite
+def gcd_pairs(draw):
+    """f and g sharing a random factor (often 1, so coprime), either possibly
+    zero or constant, with random integer contents."""
+    common = draw(st.one_of(st.just([1]), int_polys(max_deg=4)))
+    f, g = (
+        draw(st.one_of(st.just([]), st.integers(-12, 12).filter(bool).map(lambda c: [c]),
+                       int_polys().map(lambda a: _int_mul(a, common))))
+        for _ in range(2)
+    )
+    return f, g or _int_mul(common, [draw(st.integers(1, 6))])
+
+
+@st.composite
+def yun_inputs(draw):
+    """A primitive product of powers with positive leading entry, made from
+    factors of either leading sign (sparse ones up to degree 40, to keep
+    sympy's side quick)."""
+    f = [1]
+    for a, k in draw(st.lists(st.tuples(int_polys(4, 40), st.integers(1, 6)), max_size=4)):
+        for _ in range(k):
+            f = _int_mul(f, a)
+    g = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+    return [c // g for c in f]
+
+
+class TestIntegerGcdAndYun:
+    """The Z[x] kernel's gcd with cofactors and Yun's decomposition against
+    sympy's dup_inner_gcd (the cofactor form of dup_gcd) and dup_sqf_list."""
+
+    @staticmethod
+    def sympy_gcd(f, g):
+        return tuple(a[::-1] for a in dup_inner_gcd(f[::-1], g[::-1], ZZ))
+
+    @staticmethod
+    def sympy_yun(f):
+        return [(a[::-1], k) for a, k in dup_sqf_list(f[::-1], ZZ)[1]]
+
+    @given(gcd_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_gcd_matches_sympy(self, pair):
+        f, g = pair
+        h, cf, cg = zassenhaus.gcd(f, g)
+        assert (h, cf, cg) == self.sympy_gcd(f, g)
+        assert h[-1] > 0 and all(_int_mul(h, c) == a for a, c in ((f, cf), (g, cg)) if a)
+
+    @given(yun_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_yun_matches_sympy(self, f):
+        assert zassenhaus.yun(f) == self.sympy_yun(f)
+
+    def test_packing_round_trip(self):
+        # past 32 entries packing and unpacking split in halves; signed digits
+        # borrow across the split
+        rng = random.Random(61)
+        for _ in range(400):
+            w, n = rng.randint(2, 70), rng.randint(0, 300)
+            a = [rng.randint(-(1 << (w - 1)), (1 << (w - 1)) - 1) for _ in range(n)]
+            a = zassenhaus._trim(a)
+            assert zassenhaus._unpack_signed(zassenhaus._pack(a, w), w) == a
+            b = zassenhaus._trim([abs(c) for c in a])
+            assert zassenhaus._unpack(zassenhaus._pack(b, w), w) == b
+        assert zassenhaus._unpack_signed(-170, 2) == [-2, -2, -2, -2]
+
+    def test_multiplicity_gaps(self):
+        x5 = [0, 0, 0, 0, 0, 1]
+        assert zassenhaus.yun([0, 0, 0, 1]) == [([0, 1], 3)]
+        assert zassenhaus.yun(x5) == [([0, 1], 5)]
+        f = _int_mul(_int_mul(x5, [1, -2, 1]), [1, 0, 1])  # x^5 (x-1)^2 (x^2+1)
+        assert zassenhaus.yun(f) == [([1, 0, 1], 1), ([-1, 1], 2), ([0, 1], 5)] == self.sympy_yun(f)
+        # a linear factor of high multiplicity is read off a constant d, not looped to
+        f = _int_mul([0] * 4000 + [1], [1, 0, 1])
+        assert zassenhaus.yun(f) == [([1, 0, 1], 1), ([0, 1], 4000)]
+        assert zassenhaus.yun([7]) == zassenhaus.yun([1]) == []
+
+    def test_negative_leads_and_constants(self):
+        f, g = [2, 0, -2], [-3, 3]  # 2(1 - x^2) = -2(x-1)(x+1) and -3(1 - x) = 3(x-1)
+        assert zassenhaus.gcd(f, g) == ([-1, 1], [-2, -2], [3]) == self.sympy_gcd(f, g)
+        assert zassenhaus.gcd([-6], [4, 2]) == ([2], [-3], [2, 1]) == self.sympy_gcd([-6], [4, 2])
+        assert zassenhaus.gcd([-4, 0, -2], []) == ([4, 0, 2], [-1], []) == self.sympy_gcd([-4, 0, -2], [])
+        assert zassenhaus.gcd([], [5]) == ([5], [], [1]) == self.sympy_gcd([], [5])
+
+    def test_subresultant_fallback(self, monkeypatch):
+        # with no evaluation point to try, every gcd goes to sympy's dup_rr_prs_gcd
+        calls, prs = [], zassenhaus.dup_rr_prs_gcd
+        monkeypatch.setattr(zassenhaus, "HEU_TRIES", 0)
+        monkeypatch.setattr(zassenhaus, "dup_rr_prs_gcd", lambda *a: calls.append(1) or prs(*a))
+        f = _int_mul(_int_mul([0, 0, 0, 0, 0, 1], [1, -2, 1]), [1, 0, 1])
+        assert zassenhaus.gcd(f, [-1, 1, 0, 1]) == self.sympy_gcd(f, [-1, 1, 0, 1])
+        assert zassenhaus.gcd([4, 0, -4], [6, 6]) == ([2, 2], [2, -2], [3]) == self.sympy_gcd([4, 0, -4], [6, 6])
+        assert zassenhaus.yun(f) == self.sympy_yun(f)
+        assert len(calls) >= 4
+        _count_real_roots_cached.cache_clear()
+        assert count_real_roots(P("(x^2-2)^3*(x^2+1)*(x-5)^2")) == 3
+        _count_real_roots_cached.cache_clear()

@@ -498,6 +498,14 @@ class TestCertificates:
         assert out.found
         assert verify_certificate(out.certificate)
 
+    @pytest.mark.parametrize("text", ["x^2-2", "x^4-x^2-1", "x^3+1", "-x^2-1", "x-1"])
+    def test_sos_of_a_polynomial_not_positive_definite_is_refused(self, text):
+        # a real root leaves no eps > 0 for univsos2; it used to halve eps forever
+        with pytest.raises(DomainError):
+            rings._weighted_sos(P(text))
+        with pytest.raises(DomainError):
+            rings._perturbed_sos(P(text))
+
     @given(nonreal_power_times_linears())
     @settings(max_examples=25, deadline=None)
     def test_every_member_certified(self, case):
