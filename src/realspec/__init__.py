@@ -3,6 +3,7 @@
 from .errors import (
     DomainError,
     InputError,
+    InternalError,
     NotACoverError,
     NotASectionError,
     OutOfDomainError,

@@ -21,6 +21,10 @@ class OutOfDomainError(DomainError):
     """A prime lies outside the domain of the section."""
 
 
+class InternalError(AssertionError):
+    """A broken invariant of the library itself, never a fault of the input."""
+
+
 class InputError(ValueError):
     """Malformed input beyond syntax: a bad option value, or a certificate
     document with a missing or mistyped field."""

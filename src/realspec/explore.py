@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, NotASectionError
+from .errors import InputError, InternalError, NotASectionError
 from .polynomials import Poly
 from .rings import (
     Ring,
@@ -195,10 +195,10 @@ def explore_question(config: ExploreConfig) -> ExplorationReport:
             try:
                 outcome = glue(section)  # validates the section
             except NotASectionError:
-                raise AssertionError("sampler produced an invalid section") from None
+                raise InternalError("sampler produced an invalid section") from None
             report.tallies["glued"] += 1
             # the glued fraction must re-verify against the input section
             if not section_eq(psi(outcome.fraction), section):
-                raise AssertionError("glued fraction disagrees with its section")
+                raise InternalError("glued fraction disagrees with its section")
         reports.append(report)
     return ExplorationReport(config, reports)

@@ -28,10 +28,8 @@ with its column, as any other malformed input. A value of at most one term
 stays a monomial (num, den, k) for num/den * x^k through products, powers
 and negation, and a sum adds all its terms in one integer pass (`Poly.sum`,
 which takes monomials as they are); Polys are built only through Poly's
-public methods. For monomials alone `_check_size` skips the logarithms,
-exactly, when sum(n * (bit lengths of num and den)) <= MAX_POWER_SIZE: that
-bounds sum(n * log2(height)), and monomials never add to the expression's
-total.
+public methods. A product of monomials is costed by its bits alone and
+never adds to the expression's total.
 """
 
 from __future__ import annotations
@@ -133,19 +131,16 @@ class _Parser:
         n*log2(base.height), or whose dense size takes the expression's total
         past MAX_EXPRESSION_SIZE. A power is one pair, a product p*q the
         pairs (p, 1), (q, 1); the error points at the token at index."""
-        monomials, degree, bit_lengths = True, 0, 0
+        monomials, degree, bits = True, 0, 0.0
         for base, n in factors:
             if type(base) is tuple:
                 degree += base[2] * n
-                bit_lengths += n * (base[0].bit_length() + base[1].bit_length())
+                height = max(abs(base[0]), base[1])
             else:
                 monomials = False
                 degree += base.degree * n
-        bits = 0.0  # stands for the monomials' bits when their bit lengths are in budget
-        if not monomials or bit_lengths > MAX_POWER_SIZE:
-            for base, n in factors:
-                height = max(abs(base[0]), base[1]) if type(base) is tuple else base.height
-                bits += n * math.log2(height)
+                height = base.height
+            bits += n * math.log2(height)
         try:
             size = check_size(degree, bits, what, dense=not monomials)
         except InputError as exc:

@@ -5,7 +5,8 @@ A ``Poly`` is a rational content ``_c`` times a primitive integer tuple
 polynomial is ``(0, ())``. The form is unique, so equality and hashing
 compare the pair, and coefficient arithmetic runs on Python ints. By
 Gauss's lemma a product of primitive polynomials is primitive, so ``*`` is
-an integer convolution times the product of the contents; ``+`` takes one
+an integer convolution, one row per nonzero entry of the shorter operand,
+times the product of the contents; ``**`` is `power`; ``+`` takes one
 integer gcd; division is integer long division that scales by the
 divisor's leading entry only when it does not divide the current leading
 term (a monic integer modulus never scales). ``coeffs`` builds
@@ -201,8 +202,6 @@ class Poly:
             return _ZERO
         if len(a) < len(b):
             a, b = b, a
-        if b.count(0) == len(b) - 1:  # times a monomial is a shift
-            return _make(self._c * other._c, b[:-1] + a)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(b):
             if x:
@@ -217,17 +216,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
-        p = self._p
-        if p and p.count(0) == len(p) - 1:  # monomials power by shifting, not by squaring
-            return Poly.monomial(self._c**n, (len(p) - 1) * n)
-        result, base = None, self
-        while n:  # square only while exponent bits remain
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return _ONE if result is None else result
+        return power(self, n, _ONE)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         div = other._p
@@ -352,6 +341,18 @@ def _monic(prim: list[int]) -> Poly:
 _ZERO = _make(Fraction(0), ())
 _ONE = _make(Fraction(1), (1,))
 _X = _make(Fraction(1), (0, 1))
+
+
+def power(base, n: int, one):
+    """base**n, n >= 0, by square-and-multiply: ``**`` of Poly and RingElem."""
+    result = None
+    while n:  # square only while exponent bits remain
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +511,12 @@ def real_part(p: Poly) -> Poly:
 @lru_cache(maxsize=CACHE_SIZE)
 def _real_part_cached(prim: tuple[int, ...]) -> Poly:
     out = Poly.one()
-    for comp, _mult in kernel.yun(list(prim)):
-        q = _monic(comp)
-        real = count_real_roots(q)
-        if real == q.degree:
-            out = out * q
+    for comp, _mult in kernel.yun(list(prim)):  # each comp and its factors are squarefree
+        real = _sturm(comp[::-1])
+        if real == len(comp) - 1:
+            out = out * _monic(comp)
         elif real:
-            for f in kernel.zassenhaus(comp):  # comp is squarefree already
-                f = _monic(f)
-                if has_real_root(f):
-                    out = out * f
+            for f in kernel.zassenhaus(comp):
+                if _sturm(f[::-1]):
+                    out = out * _monic(f)
     return out

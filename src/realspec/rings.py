@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 import mpmath
 from sympy.solvers.diophantine.diophantine import sum_of_four_squares
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError, InternalError, RingMismatchError
 from .polynomials import (
     CACHE_SIZE,
     Poly,
@@ -38,6 +38,7 @@ from .polynomials import (
     factor,
     gcd,
     has_real_root,
+    power,
     real_part,
 )
 
@@ -174,14 +175,7 @@ class RingElem:
     def __pow__(self, n: int) -> "RingElem":
         if n < 0:
             raise DomainError("negative power of a ring element")
-        result, base = None, self
-        while n:  # square only while exponent bits remain
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return self.ring.one() if result is None else result
+        return power(self, n, self.ring.one())
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -210,13 +204,12 @@ class Ideal:
 
 
 def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
-    """The ideal the family generates, in canonical form; every canonical
-    generator is made here.
+    """The ideal the family generates, in canonical form.
 
     The monic gcd of the lifts and the modulus, so the generator always
     divides the modulus and the zero ideal is the modulus itself (0 in Q[x]).
     One gcd per nonzero lift, folded into an accumulator that starts at the
-    zero ideal.
+    zero ideal. `bezout_many` gives the same gcd with Bezout coefficients.
     """
     acc = ring.modulus
     for g in gens:
@@ -313,15 +306,18 @@ def real_radical(ideal: Ideal) -> Ideal:
 
 
 def real_radical_member(ideal: Ideal, a: RingElem) -> bool:
-    """Strip from gen every factor it shares with a (multiplicities too, by
-    repeated gcd); a is a member iff what remains has no real root."""
+    """Strip from gen every factor it shares with a, multiplicities too; a
+    is a member iff what remains has no real root. d divides gen and holds
+    every prime gen still shares with a; while all of d is left after a
+    pass, the next d is gcd(gen, d^2): O(log k) passes for multiplicity k."""
     gen = ideal.gen
     if gen.is_zero():
         return a.is_zero()
     d = gcd(gen, a.rep)
     while not d.is_one():
         gen = gen // d
-        d = gcd(gen, d)
+        e = gcd(gen, d)
+        d = gcd(gen, e * e) if e == d else e
     return count_real_roots(gen) == 0
 
 
@@ -373,16 +369,15 @@ class CertificateOutcome:
 Weighted = list[tuple[Fraction, Poly]]
 
 
-def _multiplicity(p: Poly, q: Poly) -> int:
-    """Largest e with q**e dividing p (q nonconstant, p nonzero)."""
+def _multiplicity(p: Poly, q: Poly, cap: int) -> int:
+    """Largest v <= cap with q**v dividing p (q nonconstant, p nonzero)."""
     count = 0
-    rem = p
-    while True:
-        quo, r = divmod(rem, q)
+    while count < cap:
+        p, r = divmod(p, q)
         if not r.is_zero():
-            return count
+            break
         count += 1
-        rem = quo
+    return count
 
 
 def _merge(terms, mod: Poly) -> Weighted:
@@ -604,7 +599,7 @@ def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, Rin
         return 1, SumOfSquares(), ring.elem(a_lift * a_lift)
     m, parts = 1, []
     for p, e in factor(gen).factors:
-        v = _multiplicity(a_lift, p)
+        v = _multiplicity(a_lift, p, e)  # v >= e/2 gives m = 1 already
         if v:
             m = max(m, -(-e // (2 * v)))  # a^(2m) is 0 mod p^e
         elif has_real_root(p):
@@ -622,27 +617,25 @@ def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, Rin
 
 def _verified(cert: Certificate) -> Certificate:
     if not verify_certificate(cert):
-        raise AssertionError("internal error: constructed certificate failed to verify")
+        raise InternalError("internal error: constructed certificate failed to verify")
     return cert
 
 
 def combination_certificate(f: RingElem, gens: Sequence[RingElem]) -> Certificate:
     """The certificate for f over a whole family: find_certificate's witness
     f^(2m) + sos = cofactor * gen for the ideal the family generates, with
-    gen = sum(c_i * gens[i]) plus a multiple of the modulus, spread by
-    `bezout_many`, so coeffs[i] = cofactor * c_i. As sum(c_i * gens[i]) is
-    gen in the ring, only this identity needs verifying, once, before it is
-    returned; f must lie in the real radical of that ideal.
+    gen = sum(c_i * gens[i]) plus a multiple of the modulus, both from
+    `bezout_many` (gen, a monic gcd, is the canonical generator), so
+    coeffs[i] = cofactor * c_i. As sum(c_i * gens[i]) is gen in the ring,
+    only this identity needs verifying, once, before it is returned; f must
+    lie in the real radical of that ideal.
     """
     ring = f.ring
     gens = tuple(ring.elem(g) for g in gens)
-    ideal = ideal_sum(ring, gens)
-    witness = _witness(ideal, f)
+    gen, cs = bezout_many([g.rep for g in gens] + [ring.modulus])
+    witness = _witness(Ideal(ring, gen), f)
     if witness is None:
         raise DomainError("f is not in the real radical of the family's ideal")
     m, sos, cofactor = witness
-    gen, cs = bezout_many([g.rep for g in gens] + [ring.modulus])
-    if gen != ideal.gen:
-        raise AssertionError("Bezout gcd disagrees with the canonical generator")
     coeffs = tuple(cofactor * ring.elem(c) for c in cs[: len(gens)])
     return _verified(Certificate(f, m, sos, gens, coeffs))

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, NotASectionError, OutOfDomainError, RingMismatchError
+from .errors import DomainError, InternalError, NotASectionError, OutOfDomainError, RingMismatchError
 from .polynomials import Poly
 from .rings import (
     Certificate,
@@ -168,7 +168,7 @@ def psi(u: SigmaFraction) -> Section:
     den = u.denominator.value()
     # containment D(f) within D(den): primes avoiding f avoid den
     if not cover_check(u.f, [den]):
-        raise AssertionError("denominator fails to cover its basic open")
+        raise InternalError("denominator fails to cover its basic open")
     return Section(ring, u.f, (LocalFraction(u.numerator, den),))
 
 
@@ -223,7 +223,7 @@ def equalize(s: Section) -> Section:
         while not acc.is_zero():
             k += 1
             if k > bound:
-                raise AssertionError("internal error: no equalizing exponent within the bound")
+                raise InternalError("internal error: no equalizing exponent within the bound")
             acc = acc * prod
         n = max(n, k)
     patches = tuple(
@@ -268,7 +268,7 @@ def glue(s: Section) -> GlueOutcome:
         num = num + b * p.numerator
     result = SigmaFraction(num, SigmaDenominator(s.f, cert.m, cert.sos))
     if not _closes(eq, result):
-        raise AssertionError("internal error: glue result failed verification")
+        raise InternalError("internal error: glue result failed verification")
     return GlueOutcome(GlueStatus.GLUED, result, cert, eq)
 
 

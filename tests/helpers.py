@@ -28,9 +28,12 @@ from realspec import (
     ClosedSet,
     Factorization,
     Ideal,
+    LocalFraction,
     Poly,
+    RealPrime,
     Ring,
     RingElem,
+    Section,
     StalkElement,
     annihilator,
     gcd,
@@ -265,6 +268,45 @@ def random_semireal_quotient(rng: random.Random) -> Ring:
     for a in rng.sample(range(-3, 4), rng.randint(1, 3)):
         modulus = modulus * Poly([-a, 1]) ** rng.randint(1, 3)
     return Ring.quotient(modulus)
+
+
+_QX_LINEARS = tuple(Poly([-c, 1]) for c in (0, 1, -1, 2, Fraction(1, 2), -3))
+_QX_NONREAL = tuple(Poly(c) for c in ([1, 0, 1], [2, 0, 1], [1, 1, 1], [1, 0, 0, 0, 1], [3, -1, 1]))
+
+
+def _product(polys) -> Poly:
+    return math.prod(polys, start=Poly.one())
+
+
+@st.composite
+def qx_sections(draw):
+    """(section, a, h, primes): the paper's case, a section of Q[x] over D(f)
+    on 2-3 patches (a*k_i, h*k_i) that all stand for r = a/h.
+
+    f is 1 or one or two distinct linear factors; h is some of f's factors,
+    all to one power 1..3, times 0..2 of x^2+1, x^2+2, x^2+x+1, x^4+1 and
+    x^2-x+3, all to one power 1..2 (at least one when f = 1, so that r is a
+    global section of Sigma_1^-1 Q[x] outside Q[x]). k_i is the linear factors
+    outside f less those assigned to patch i, times an optional non-real
+    factor, so the k_i share no real root and the D(h*k_i) cover D(f).
+    primes are real primes of D(f): the zero prime, the prime of each linear
+    factor outside f, and (x - 7)."""
+    linears = draw(st.lists(st.sampled_from(_QX_LINEARS), min_size=1, max_size=5, unique=True))
+    k = draw(st.integers(0, min(2, len(linears))))
+    in_f, outside = linears[:k], linears[k:]
+    nonreal = draw(st.lists(st.sampled_from(_QX_NONREAL), min_size=0 if k else 1, max_size=2, unique=True))
+    h_real = draw(st.lists(st.sampled_from(in_f), unique=True)) if in_f else []
+    h = _product(h_real) ** draw(st.integers(1, 3)) * _product(nonreal) ** draw(st.integers(1, 2))
+    a = Poly(draw(st.lists(st.integers(-3, 3), max_size=4)))
+    n = draw(st.integers(2, 3))
+    owner = [draw(st.integers(0, n - 1)) for _ in outside]
+    ring, patches = Ring.rationals(), []
+    for i in range(n):
+        k_i = _product(q for q, j in zip(outside, owner) if j != i)
+        k_i = k_i * draw(st.sampled_from((Poly.one(),) + _QX_NONREAL))
+        patches.append(LocalFraction(ring.elem(a * k_i), ring.elem(h * k_i)))
+    primes = [RealPrime(ring, q) for q in (Poly.zero(), *outside, Poly([-7, 1]))]
+    return Section(ring, ring.elem(_product(in_f)), tuple(patches)), a, h, primes
 
 
 def random_elem(rng: random.Random, ring: Ring, max_deg: int = 3, coeff: int = 4) -> RingElem:

@@ -581,6 +581,21 @@ class TestExponentBudget:
         # in Q[x] nothing is reduced, so nothing more is costed
         assert run(capsys, "cover", "--f", "x^65536", "x")[:2] == (0, "true\n")
 
+    @pytest.mark.parametrize("argv, want", [
+        (("cert", "find", "x", "x^65536"), "member: true\ncertificate: m=1 sos=[] cofactor=x^131071\n"),
+        (("subcover", "--f", "x^65536", "x"), "indices [0]\ncertificate: coeffs=[x^131071] m=1 sos=[]\n"),
+        (("section", "glue", "--f", "x^65536", "--patch", "x:1"),
+         "x^131071 / x^131072\ncertificate: coeffs=[x^131071] k=1 sos=[]\n"),
+        (("cover", "--f", "x", "x^65536"), "true\n"),
+        (("section", "validate", "--f", "x", "--patch", "x^65536:1"), "valid: true\n"),
+    ], ids=["cert-find", "subcover", "section-glue", "cover", "section-validate"])
+    def test_largest_admitted_prime_power(self, capsys, argv, want):
+        """x^65536 against its prime x, in well under a second each: the
+        witness reads x's multiplicity in x^65536 only up to the ideal's, and
+        the real radical test strips 65536 copies of x in a logarithmic
+        number of gcds, not one gcd per copy."""
+        assert run(capsys, *argv)[:2] == (0, want)
+
     def test_certify_corpus_within_budget(self, capsys, monkeypatch):
         """Every document of the benchmark's certify corpus stays under the
         budget and verifies; every item exits 0, glue over non-real quotients

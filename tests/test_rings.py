@@ -9,12 +9,14 @@ from realspec import (
     Certificate,
     CertificateStatus,
     DomainError,
+    InternalError,
     Poly,
     Ring,
     RingMismatchError,
     SigmaDenominator,
     SumOfSquares,
     annihilator,
+    bezout_many,
     enumerate_primes,
     find_certificate,
     real_radical,
@@ -185,6 +187,20 @@ class TestIdealSum:
             acc = ideal_sum(ring, (acc.gen, ring.ideal(ring.elem(p)).gen))
         assert acc.gen == want
 
+    @given(rings_and_families())
+    @settings(max_examples=200, deadline=None)
+    def test_bezout_many_gives_the_canonical_generator(self, case):
+        """combination_certificate takes its generator from bezout_many: the
+        same monic gcd of the lifts and the modulus as ideal_sum, with
+        coefficients that sum back to it."""
+        ring, lifts = case
+        gens = [ring.elem(p) for p in lifts]
+        fs = [g.rep for g in gens] + [ring.modulus]
+        assume(any(not p.is_zero() for p in fs))
+        gen, cs = bezout_many(fs)
+        assert gen == ideal_sum(ring, gens).gen
+        assert Poly.sum([c * p for c, p in zip(cs, fs, strict=True)]) == gen
+
     def test_empty_family_is_the_zero_ideal(self):
         assert ideal_sum(BASE, []).gen == Poly.zero()
         ring = quot("x^3-x")
@@ -315,6 +331,11 @@ class TestRealRadical:
         assert real_radical_member(BASE.ideal(P("-3*(x^2+1)^2")), BASE.zero())
         assert real_radical_member(BASE.unit_ideal(), x)
         assert real_radical_member(BASE.ideal(P("-2*x^3*(x^2+2)")), x)
+        # multiplicities far apart: x^4096 is stripped in doubling passes, (x-1)^3 in two
+        gen = BASE.ideal(P("x") ** 4096 * P("(x-1)^3*(x^2+1)"))
+        assert real_radical_member(gen, BASE.elem(P("x^2-x")))
+        assert not real_radical_member(gen, x)
+        assert not real_radical_member(gen, BASE.elem(P("(x-1)^5")))
         ring = quot("x^3*(x^2+1)")
         assert real_radical_member(ring.zero_ideal(), ring.elem(P("x^4+x^2")))
         assert real_radical_member(ring.zero_ideal(), ring.zero())
@@ -430,6 +451,10 @@ class TestCertificates:
         c = out.certificate
         broken = Certificate(c.f, c.m, c.sos, c.gens, (BASE.elem(P("2")),))
         assert not verify_certificate(broken)
+        # a construction that fails its own check is a typed bug, not bad input
+        with pytest.raises(InternalError, match="constructed certificate failed to verify"):
+            rings._verified(broken)
+        assert issubclass(InternalError, AssertionError)
 
     def test_quotient_degenerate(self):
         ring = quot("x^2+1")
@@ -585,6 +610,9 @@ class TestCombinationCertificate:
     def test_not_a_member(self):
         with pytest.raises(DomainError):
             combination_certificate(BASE.elem(P("x")), [BASE.elem(P("x-1"))])
+        # the zero ideal of Q[x]: no family member to take a gcd of
+        with pytest.raises(DomainError, match="needs a nonzero member"):
+            combination_certificate(BASE.elem(P("x")), [BASE.zero()])
 
     def test_one_generator_is_the_real_radical_certificate(self):
         # with one generator f_i the coefficient is the u with h^(2m) + sos = u * f_i

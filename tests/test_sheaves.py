@@ -37,6 +37,7 @@ from realspec.sheaves import _overlap_compatible
 
 from helpers import (
     evaluate,
+    qx_sections,
     random_elem,
     random_nonzero_elem,
     random_real_quotient,
@@ -237,6 +238,24 @@ class TestGlue:
         out = glue(s)
         assert out.status is GlueStatus.GLUED
         assert sigma_eq(out.fraction, SigmaFraction(ring.zero(), SigmaDenominator(x, 1)))
+
+
+class TestPaperCase:
+    @given(qx_sections())
+    @settings(max_examples=100, deadline=None)
+    def test_multi_patch_sections_of_qx_glue(self, case):
+        """Gamma(D(f)) = Sigma_f^-1 Q[x]: a section over several patches glues
+        into the one fraction a/h of the localization, with a certificate over
+        the patch denominators, and the glued fraction has the section's germ
+        at the zero prime and at each named real prime of D(f)."""
+        s, a, h, primes = case
+        out = glue(s)
+        assert verify_glue(out.equalized, out.fraction, out.certificate)
+        glued = psi(out.fraction)
+        assert section_eq(glued, s)
+        assert out.fraction.numerator.rep * h == a * out.fraction.denominator.value().rep
+        for p in primes:
+            assert stalk_eq(stalk_at(s, p), stalk_at(glued, p))
 
 
 class TestStalks:
