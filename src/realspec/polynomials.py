@@ -25,10 +25,11 @@ factoring run on ``_p`` in the Z[x] kernel `zassenhaus`, on Python ints: a
 heuristic gcd at a power of two checked by exact division, Yun on its
 cofactors, and per component Cantor-Zassenhaus mod a small prime p, a Hensel
 lift to p^l past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient|
-* lc, and recombination of the lifted factors. The Sturm pseudo-remainders
-are sympy's ``dup_prem`` over ZZ; Bezout runs on Poly arithmetic. Root
-counts and real parts are invariant under scaling, so their caches are keyed
-on ``_p``; factorizations on ``(content, _p)``.
+* lc, and recombination of the lifted factors. Sturm sequences run on the
+same int lists, with pseudo-remainders kept positive multiples of the true
+ones; an odd-degree polynomial has a real root without one. Bezout runs on
+Poly arithmetic. Root counts and real parts are invariant under scaling, so
+their caches are keyed on ``_p``; factorizations on ``(content, _p)``.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
-
-from sympy.polys.densearith import dup_prem
-from sympy.polys.densetools import dup_diff
-from sympy.polys.domains import ZZ
 
 from . import zassenhaus as kernel
 from .errors import DomainError
@@ -401,6 +398,18 @@ def bezout_many(fs: Sequence[Poly]) -> tuple[Poly, list[Poly]]:
     return g, coeffs
 
 
+def strip(p: Poly, d: Poly) -> Poly:
+    """p without any copy of the primes of d, for d a monic divisor of p. d
+    keeps the primes p still shares with the first d; while all of d is left
+    after a pass, the next d is gcd(p, d^2): O(log k) passes for
+    multiplicity k."""
+    while not d.is_one():
+        p = p // d
+        e = gcd(p, d)
+        d = gcd(p, e * e) if e == d else e
+    return p
+
+
 # ---------------------------------------------------------------------------
 # factorization over Q (Yun, then each component by `zassenhaus`)
 
@@ -464,32 +473,43 @@ def count_real_roots(p: Poly) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _count_real_roots_cached(prim: tuple[int, ...]) -> int:
-    return sum(_sturm(comp[::-1]) for comp, _mult in kernel.yun(list(prim)))
+    return sum(_sturm(comp) for comp, _mult in kernel.yun(list(prim)))
 
 
 def _sturm(f: list[int]) -> int:
-    """The number of distinct real roots of f, of positive degree, listed in
-    sympy's order (highest degree first). Primitive Sturm sequence over ZZ:
-    each pseudo-remainder lc(g)^(d+1) * r is scaled back to a positive
-    multiple of the true remainder r, then negated and divided by its
-    content."""
-    seq = [f, dup_diff(f, 1, ZZ)]
+    """The number of distinct real roots of a squarefree f of positive
+    degree, ints lowest entry first. Primitive Sturm sequence over Z: each
+    step of the pseudo-division scales the remainder r by a = |lc(g)| before
+    it cancels r's leading term, so r ends a positive multiple of the true
+    remainder; it is then negated and divided by its content."""
+    seq = [f, kernel._derivative(f)]
     while True:
-        f, g = seq[-2], seq[-1]
-        r = dup_prem(f, g, ZZ)
+        r, g = list(seq[-2]), seq[-1]
+        m, lead = len(g) - 1, g[-1]
+        a, low = abs(lead), g[:-1]
+        while len(r) > m:
+            c = r.pop()
+            if c:
+                if a != 1:
+                    r = [a * x for x in r]
+                c = c if lead > 0 else -c  # r - (c/lead) * g, scaled by a
+                k = len(r) - m
+                r[k:] = [x - c * y for x, y in zip(r[k:], low)]
+        while r and not r[-1]:
+            r.pop()
         if not r:
             break
-        content = math.gcd(*r)
-        if g[0] > 0 or (len(f) - len(g)) % 2:
-            content = -content
-        seq.append([c // content for c in r])
-    at_pos = [q[0] > 0 for q in seq]
-    at_neg = [(q[0] > 0) == (len(q) % 2 == 1) for q in seq]
+        content = -math.gcd(*r)
+        seq.append([x // content for x in r])
+    at_pos = [q[-1] > 0 for q in seq]
+    at_neg = [(q[-1] > 0) == (len(q) % 2 == 1) for q in seq]
     return sum(map(operator.ne, at_neg, at_neg[1:])) - sum(map(operator.ne, at_pos, at_pos[1:]))
 
 
 def has_real_root(p: Poly) -> bool:
-    return count_real_roots(p) > 0
+    """True iff p has a real root. Every odd degree has one, so only an even
+    degree is counted (the zero polynomial goes to the count's error)."""
+    return (len(p._p) % 2 == 0 and not p.is_zero()) or count_real_roots(p) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +521,8 @@ def real_part(p: Poly) -> Poly:
 
     Returns 1 when no factor has a real root (constants included). Per
     squarefree component, a Sturm count of 0 drops it and a count equal to
-    its degree (all roots real) keeps it whole; only the rest are factored.
+    its degree (all roots real) keeps it whole; only the rest are factored,
+    and of their factors only those of even degree are counted.
     """
     if p.is_zero():
         raise DomainError("real part of the zero polynomial is undefined")
@@ -512,11 +533,11 @@ def real_part(p: Poly) -> Poly:
 def _real_part_cached(prim: tuple[int, ...]) -> Poly:
     out = Poly.one()
     for comp, _mult in kernel.yun(list(prim)):  # each comp and its factors are squarefree
-        real = _sturm(comp[::-1])
+        real = _sturm(comp)
         if real == len(comp) - 1:
             out = out * _monic(comp)
         elif real:
             for f in kernel.zassenhaus(comp):
-                if _sturm(f[::-1]):
+                if len(f) % 2 == 0 or _sturm(f):
                     out = out * _monic(f)
     return out

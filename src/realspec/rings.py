@@ -33,13 +33,13 @@ from .polynomials import (
     Poly,
     Factorization,
     bezout_many,
-    count_real_roots,
     ext_gcd,
     factor,
     gcd,
     has_real_root,
     power,
     real_part,
+    strip,
 )
 
 ElemLike = Union["RingElem", Poly, Fraction, int]
@@ -307,18 +307,11 @@ def real_radical(ideal: Ideal) -> Ideal:
 
 def real_radical_member(ideal: Ideal, a: RingElem) -> bool:
     """Strip from gen every factor it shares with a, multiplicities too; a
-    is a member iff what remains has no real root. d divides gen and holds
-    every prime gen still shares with a; while all of d is left after a
-    pass, the next d is gcd(gen, d^2): O(log k) passes for multiplicity k."""
+    is a member iff what remains has no real root."""
     gen = ideal.gen
     if gen.is_zero():
         return a.is_zero()
-    d = gcd(gen, a.rep)
-    while not d.is_one():
-        gen = gen // d
-        e = gcd(gen, d)
-        d = gcd(gen, e * e) if e == d else e
-    return count_real_roots(gen) == 0
+    return not has_real_root(strip(gen, gcd(gen, a.rep)))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +388,7 @@ def _merge(terms, mod: Poly) -> Weighted:
 def _positive_definite(p: Poly) -> bool:
     if p.is_zero() or p.leading <= 0:
         return False
-    return p.is_constant() or (p.degree % 2 == 0 and count_real_roots(p) == 0)
+    return not has_real_root(p)
 
 
 def _weighted_sos(p: Poly) -> Weighted:
@@ -469,7 +462,7 @@ def _perturbed_sos(p: Poly) -> Weighted:
     d = p.degree // 2
     evens = Poly([1 - k % 2 for k in range(2 * d + 1)])
     eps = p.leading / 2
-    while count_real_roots(p - evens.scale(eps)) > 0:
+    while has_real_root(p - evens.scale(eps)):
         eps /= 2
     p_eps = p - evens.scale(eps)
     lc = p_eps.leading

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, NotACoverError, RingMismatchError
-from .polynomials import Poly, count_real_roots, has_real_root, is_irreducible
+from .polynomials import Poly, has_real_root, is_irreducible, strip
 from .rings import (
     Certificate,
     Ideal,
@@ -90,16 +90,16 @@ class ClosedSet:
 def v_of(ideal: Ideal) -> ClosedSet:
     """Closed set of an ideal, canonicalized through the real radical.
 
-    In a quotient it is the whole space when the radical's generator gen is
-    real_part(m), decided by counting roots, not factoring m: gen is a product
-    of distinct real-rooted irreducible factors of m, distinct irreducibles
-    share no root, and each real-rooted factor of m missing from gen has a real
-    root that gen lacks. So gen = real_part(m) iff both count as many real roots.
+    In a quotient it is the whole space when every real-rooted irreducible
+    factor of the modulus m divides the radical's generator gen, decided by
+    one real-root test, not by factoring m. gen divides m, so stripping
+    every copy of gen's primes from m leaves the product of m's other
+    factors, and it is the whole space iff that has no real root.
     """
     ring = ideal.ring
     gen = real_radical(ideal).gen
     if ring.is_quotient and not gen.is_one():
-        if count_real_roots(gen) == count_real_roots(ring.modulus):
+        if not has_real_root(strip(ring.modulus, gen)):
             gen = Poly.zero()  # every real prime contains the ideal
     return ClosedSet(ring, gen)
 

@@ -8,6 +8,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_inner_gcd
 from sympy.polys.sqfreetools import dup_sqf_list
 
+import realspec.polynomials as polynomials
 import realspec.zassenhaus as zassenhaus
 from realspec import (
     NEG_INF,
@@ -17,6 +18,7 @@ from realspec import (
     count_real_roots,
     factor,
     gcd,
+    has_real_root,
     is_irreducible,
     real_part,
 )
@@ -619,3 +621,67 @@ class TestIntegerGcdAndYun:
         _count_real_roots_cached.cache_clear()
         assert count_real_roots(P("(x^2-2)^3*(x^2+1)*(x-5)^2")) == 3
         _count_real_roots_cached.cache_clear()
+
+
+@st.composite
+def sturm_products(draw):
+    """A product of one to three integer factors of degree 1..5, leading
+    entries of either sign, each to a power 1..3."""
+    f = [1]
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 5))
+        a = draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
+        a.append(draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1])))
+        for _ in range(draw(st.integers(1, 3))):
+            f = _int_mul(f, a)
+    return f
+
+
+class TestSturmOnInts:
+    """`_sturm` on int lists, lowest entry first, against sympy's count_roots
+    and the Descartes bisection oracle."""
+
+    @given(sturm_products(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_yun_components_match_oracles(self, f, data):
+        g = math.gcd(*f) * (1 if f[-1] > 0 else -1)
+        total = 0
+        for comp, _mult in zassenhaus.yun([c // g for c in f]):
+            p = Poly(comp)
+            expected = to_sympy(p).count_roots()
+            assert expected == count_real_roots_oracle(p)
+            sign = data.draw(st.sampled_from([-1, 1]))  # a negative leading entry
+            assert polynomials._sturm([sign * c for c in comp]) == expected
+            total += expected
+        assert count_real_roots(Poly(f)) == total == to_sympy(Poly(f)).count_roots()
+
+    def test_examples(self):
+        sturm = polynomials._sturm
+        assert sturm([3, -2]) == sturm([-3, -2]) == sturm([0, 5]) == 1  # degree 1
+        assert sturm([1, 0, 1]) == sturm([-1, 0, -1]) == 0
+        assert sturm([-2, 0, 1]) == sturm([2, 0, -1]) == 2
+        assert sturm([-2, 0, 0, 1]) == sturm([2, 0, 0, -1]) == 1  # x^3 - 2
+        assert sturm([-1, -1, 0, 0, 0, 1]) == 1  # x^5 - x - 1
+        assert sturm([1, -3, 0, 1]) == 3  # x^3 - 3x + 1, all roots real
+        assert sturm([1, 0, -10, 0, 1]) == 4  # x^4 - 10x^2 + 1
+
+
+class TestHasRealRoot:
+    def test_zero_error(self):
+        with pytest.raises(DomainError):
+            has_real_root(Poly.zero())
+
+    def test_odd_degree_needs_no_count(self):
+        before = _count_real_roots_cached.cache_info()
+        for text in ("x", "-3*x+1", "x^3-2", "-(x^2+1)*(x^5-x-1)^2*x^3", "x^65535+1"):
+            assert has_real_root(P(text))
+        assert _count_real_roots_cached.cache_info() == before
+
+    def test_even_degree_examples(self):
+        assert not has_real_root(P("-5")) and not has_real_root(P("(x^2+1)^3*(x^4+1)"))
+        assert has_real_root(P("-(x^2-2)^3*(x^2+1)"))
+
+    @given(route_products())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_count(self, p):
+        assert has_real_root(p) == (count_real_roots(p) > 0) == (count_real_roots_oracle(p) > 0)

@@ -19,7 +19,9 @@ from realspec import (
     closed_union,
     cover_check,
     enumerate_primes,
+    factor,
     finite_subcover,
+    real_part,
     stalk_at,
     v_of,
     verify_certificate,
@@ -30,6 +32,7 @@ from realspec.rings import ideal_sum
 
 from helpers import (
     ROUTE_POOL,
+    count_real_roots_oracle,
     prime_kind,
     random_elem,
     random_structured_poly,
@@ -183,8 +186,9 @@ class TestOneContainmentRule:
 
 
 class TestVOfByRootCount:
-    """v_of decides "V(I) is everything" by counting real roots; the factoring
-    route it replaced, gen == real_part(m), is the reference."""
+    """v_of decides "V(I) is everything" by stripping the radical's primes
+    from the modulus and testing the rest for a real root; the factoring
+    route, gen == real_part(m), and the factor definition are the references."""
 
     @given(route_factors(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -197,6 +201,38 @@ class TestVOfByRootCount:
         for ring in (Ring.quotient(m.monic()), Ring.rationals()):
             ideal = ring.ideal(g)
             assert v_of(ideal) == reference_v_of(ideal)
+
+    @staticmethod
+    def by_factor_definition(ideal):
+        """V(I) is the whole space iff every real-rooted factor of m, judged
+        by the Descartes oracle, divides real_part(I.gen)."""
+        radical = real_part(ideal.gen)
+        return all(p.divides(radical) for p, _ in factor(ideal.ring.modulus).factors
+                   if count_real_roots_oracle(p) > 0)
+
+    @given(route_factors(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_strip_matches_factor_definition(self, pieces, data):
+        m, g = Poly.one(), Poly.one()
+        for q, k in pieces:
+            m = m * q**k
+            g = g * q ** data.draw(st.integers(0, k))
+        ideal = Ring.quotient(m.monic()).ideal(g)
+        v = v_of(ideal)
+        if real_part(ideal.gen).is_one():  # no real prime holds I: the empty set
+            assert v.is_empty()
+        else:
+            assert v.is_whole() == self.by_factor_definition(ideal)
+
+    def test_strip_through_repeated_real_factors(self):
+        ring = quot("(x-1)^3*(x+2)*(x^2+1)")
+        for i, j, k in itertools.product(range(4), range(2), range(2)):
+            ideal = ring.ideal(P("x-1") ** i * P("x+2") ** j * P("x^2+1") ** k)
+            if i or j:
+                assert v_of(ideal).is_whole() == self.by_factor_definition(ideal) == (i > 0 and j > 0)
+        assert vset(ring, "(x-1)^2*(x^2+1)").gen == P("x-1")
+        # multiplicity 65536 is stripped in O(log) passes, not one pass per copy
+        assert vset(quot("x^65536"), "x").is_whole()
 
     def test_whole_space_with_non_real_and_repeated_factors(self):
         ring = quot("(x-1)^2*(x^3-2)*(x^2+1)")
