@@ -35,7 +35,6 @@ from .rings import (
     annihilator,
     combination_certificate,
     find_certificate,
-    local_modulus,
     real_radical,
     real_radical_member,
     verify_certificate,

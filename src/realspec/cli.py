@@ -10,10 +10,10 @@ subcover, glue) keep their own keys, but each is read into the one
 squares and checked by the one `rings.verify_certificate` (a glue document
 also by its closing identity).
 
-Outside input is held to the one budget, `parsing.check_size`: in the
-parser, in `_checked_power` for f^(2m) from a document or sigma-eq (after
-refusing m < 0), and in `_elem`, which reads every ring element, before a
-quotient reduces a lift.
+Outside input is held to the one budget, `polynomials.check_size`: in the
+parser, in `rings.checked_power` for f^(2m) (a document's, sigma-eq's, and
+every certificate's, so none is printed that `cert verify` refuses), and in
+`_elem`, which reads every ring element, before a quotient reduces a lift.
 
 Exit codes: 0 success, 2 parse or usage error, 3 precondition violation
 (an answer with a coefficient too long to print among them).
@@ -29,14 +29,15 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, InputError, ParseError
 from .explore import ExploreConfig, explore_question
-from .parsing import check_size, parse_poly, parse_ring
-from .polynomials import count_real_roots, factor, real_part
+from .parsing import parse_poly, parse_ring
+from .polynomials import check_size, count_real_roots, factor, real_part
 from .rings import (
     Certificate,
     Ring,
     RingElem,
     SigmaDenominator,
     SumOfSquares,
+    checked_power,
     find_certificate,
     real_radical,
     verify_certificate,
@@ -67,16 +68,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-def _checked_power(base: RingElem, m: int) -> int:
-    """m, after refusing m < 0 and a base^(2m) over the budget as a dense
-    value: degree 2m * max(deg base, 1), bits 2m * bit length of the height."""
-    if m < 0:
-        raise DomainError(f"exponent {m} is negative")
-    n = 2 * m
-    check_size(n * max(base.rep.degree, 1), n * base.rep.height.bit_length(), f"({base})^({n})")
-    return m
-
-
 def _elem(ring: Ring, text: str) -> RingElem:
     """The element of ring that text denotes. In a quotient, a lift of degree
     at least the modulus's is costed as dense before it is reduced: a
@@ -85,10 +76,6 @@ def _elem(ring: Ring, text: str) -> RingElem:
     if ring.is_quotient and lift.degree >= ring.modulus.degree:
         check_size(lift.degree, lift.height.bit_length(), "element before reduction")
     return ring.elem(lift)
-
-
-def _ring(args) -> Ring:
-    return parse_ring(args.ring)
 
 
 def _parse_patch(ring: Ring, text: str) -> LocalFraction:
@@ -147,7 +134,7 @@ def _verify_cert_doc(doc) -> bool:
     sos = SumOfSquares(_doc_elems(ring, doc, "sos"))
     if kind == "real-radical":
         f = _doc_elem(ring, doc, "element")
-        m = _checked_power(f, _doc_value(doc, "m", int))
+        m = checked_power(f, _doc_value(doc, "m", int))
         coeffs = (_doc_elem(ring, doc, "cofactor"),)
         gens = (ring.elem(ring.ideal(parse_poly(_doc_value(doc, "ideal", str))).gen),)
     elif kind == "subcover":
@@ -158,7 +145,7 @@ def _verify_cert_doc(doc) -> bool:
             raise InputError("subcover certificate needs one coefficient per index into covers")
         gens = tuple(covers[i] for i in indices)
         f = _doc_elem(ring, doc, "f")
-        m = _checked_power(f, _doc_value(doc, "m", int))
+        m = checked_power(f, _doc_value(doc, "m", int))
     elif kind == "glue":
         f = _doc_elem(ring, doc, "f")
         patches = tuple(
@@ -168,7 +155,7 @@ def _verify_cert_doc(doc) -> bool:
         coeffs = _doc_elems(ring, doc, "coeffs")
         if len(coeffs) != len(patches):
             raise InputError("glue certificate needs one coefficient per patch")
-        m = _checked_power(f, _doc_value(doc, "k", int))
+        m = checked_power(f, _doc_value(doc, "k", int))
         frac = SigmaFraction(_doc_elem(ring, doc, "numerator"), SigmaDenominator(f, m, sos))
         section = Section(ring, f, patches)
         gens = tuple(section.denominators())
@@ -199,7 +186,7 @@ def _cmd_real_part(args):
 
 
 def _cmd_real_radical(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     rad = real_radical(ring.ideal(parse_poly(args.poly)))
     return {"generator": str(rad.gen)}, [str(rad.gen)]
 
@@ -210,20 +197,20 @@ def _cmd_sturm(args):
 
 
 def _cmd_classify(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     is_real, is_semireal = ring.is_real, ring.is_semireal
     text = f"real={str(is_real).lower()} semireal={str(is_semireal).lower()}"
     return {"real": is_real, "semireal": is_semireal}, [text]
 
 
 def _cmd_primes(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     primes = enumerate_primes(ring)
     return {"primes": [str(p.gen) for p in primes]}, [str(p) for p in primes] or ["(none)"]
 
 
 def _cmd_vset(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     sets = [v_of(ring.ideal(parse_poly(g))) for g in args.gens]
     if args.op == "union":
         if len(sets) < 2:
@@ -242,7 +229,7 @@ def _cmd_vset(args):
 
 
 def _cmd_cover(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     f = _elem(ring, args.f)
     fs = [_elem(ring, g) for g in args.gens]
     result = cover_check(f, fs)
@@ -250,7 +237,7 @@ def _cmd_cover(args):
 
 
 def _cmd_subcover(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     f = _elem(ring, args.f)
     fs = [_elem(ring, g) for g in args.gens]
     outcome = finite_subcover(f, fs)
@@ -263,7 +250,7 @@ def _cmd_subcover(args):
 
 
 def _cmd_cert_find(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     ideal = ring.ideal(parse_poly(args.ideal))
     a = _elem(ring, args.element)
     outcome = find_certificate(ideal, a)
@@ -300,7 +287,7 @@ def _section_from_args(args, ring: Ring) -> Section:
 
 
 def _cmd_section_validate(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     report = section_validate(_section_from_args(args, ring))
     payload = {
         "valid": report.ok,
@@ -316,7 +303,7 @@ def _cmd_section_validate(args):
 
 
 def _cmd_section_glue(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     section = _section_from_args(args, ring)
     outcome = glue(section)
     eq, frac, cert = outcome.equalized, outcome.fraction, outcome.certificate
@@ -329,7 +316,7 @@ def _cmd_section_glue(args):
 
 
 def _cmd_section_eq(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     s1 = _section_from_args(args, ring)
     s2 = Section(ring, s1.f, tuple(_parse_patch(ring, p) for p in args.other))
     result = section_eq(s1, s2)
@@ -337,7 +324,7 @@ def _cmd_section_eq(args):
 
 
 def _cmd_section_stalk(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     section = _section_from_args(args, ring)
     gen = parse_poly(args.prime)
     prime = RealPrime(ring, gen if gen.is_zero() else gen.monic())
@@ -351,15 +338,15 @@ def _cmd_section_stalk(args):
 
 
 def _cmd_sigma_eq(args):
-    ring = _ring(args)
+    ring = parse_ring(args.ring)
     f = _elem(ring, args.f)
     u = SigmaFraction(
         _elem(ring, args.num1),
-        SigmaDenominator(f, _checked_power(f, args.m1), _parse_sos(ring, args.sos1)),
+        SigmaDenominator(f, checked_power(f, args.m1), _parse_sos(ring, args.sos1)),
     )
     v = SigmaFraction(
         _elem(ring, args.num2),
-        SigmaDenominator(f, _checked_power(f, args.m2), _parse_sos(ring, args.sos2)),
+        SigmaDenominator(f, checked_power(f, args.m2), _parse_sos(ring, args.sos2)),
     )
     result = sigma_eq(u, v)
     return {"equal": result}, [str(result).lower()]

@@ -13,12 +13,13 @@ Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside Python's recursion limit. Ring descriptions are "Q[x]"
 or "Q[x]/(<poly>)". Printing (Poly.__str__) round-trips through parse_poly.
 
-`check_size` is the one budget for expanding outside input: degree at most
-MAX_EXPONENT and size (degree+1) * max(degree+1, bits) at most
-MAX_POWER_SIZE. The parser applies it to each power and product before
+`polynomials.check_size` is the one budget for expanding outside input:
+degree at most MAX_EXPONENT and size (degree+1) * max(degree+1, bits) at
+most MAX_POWER_SIZE. The parser applies it to each power and product before
 expanding it, and one expression's dense sizes add up to at most
-MAX_EXPRESSION_SIZE; the CLI applies it to the powers f^(2m) that documents
-and sigma-eq name and to each lift that a quotient's modulus reduces.
+MAX_EXPRESSION_SIZE; `rings.checked_power` applies it to every power f^(2m)
+that a certificate is built or read with, and the CLI to each lift that a
+quotient's modulus reduces.
 
 One compiled regex reads the tokens as plain strings once `_INVALID` finds
 no other character than decimal digits (as for `int`), operators, x and
@@ -41,29 +42,12 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError, ParseError
-from .polynomials import Poly
+from .polynomials import MAX_EXPONENT, MAX_POWER_SIZE, Poly, check_size
 from .rings import Ring
 
-MAX_EXPONENT = 1 << 16
 MAX_NESTING = 100
-#: Budget for `check_size`; the largest admissible power, (x+1)^1023, takes about
-#: 0.2 s on a 2-vCPU x86_64 host.
-MAX_POWER_SIZE = 1 << 20
 #: Budget for the sizes of one expression's dense products and powers together.
 MAX_EXPRESSION_SIZE = 4 * MAX_POWER_SIZE
-
-
-def check_size(degree: int, bits: float, what: str, dense: bool = True) -> float:
-    """The size of a value of this degree with `bits` bits of coefficients,
-    or an InputError naming `what` past the budget. A dense value takes
-    (degree+1)^2 products to square or reduce however small its entries
-    are; a monomial (dense=False) is a shift, whose size is its bits."""
-    if degree > MAX_EXPONENT:
-        raise InputError(f"{what} has degree above {MAX_EXPONENT}")
-    size = (degree + 1) * max(degree + 1, bits) if dense else bits
-    if size > MAX_POWER_SIZE:
-        raise InputError(f"{what} has size above {MAX_POWER_SIZE} bits")
-    return size
 
 
 _TOKEN = re.compile(r"\d+|[-+*^()/x]")

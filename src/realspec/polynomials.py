@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from . import zassenhaus as kernel
-from .errors import DomainError
+from .errors import DomainError, InputError
 
 #: Degree of the zero polynomial. A distinguished marker that still compares
 #: below every integer degree; never a -1 sentinel.
@@ -53,7 +53,26 @@ NEG_INF = float("-inf")
 #: a sum of squares mod a prime (`rings._neg_one_sos_mod`).
 CACHE_SIZE = 1 << 10
 
+MAX_EXPONENT = 1 << 16
+#: Budget for `check_size`; the largest admissible power, (x+1)^1023, takes about
+#: 0.2 s on a 2-vCPU x86_64 host.
+MAX_POWER_SIZE = 1 << 20
+
 Coeff = Union[Fraction, int]
+
+
+def check_size(degree: int, bits: float, what: str, *args, dense: bool = True) -> float:
+    """The one budget for expanding outside input: the size of a value of
+    this degree with `bits` bits of coefficients, or past it an InputError
+    naming what.format(*args), formatted only then. A dense value takes
+    (degree+1)^2 products to square or reduce however small its entries
+    are; a monomial (dense=False) is a shift, whose size is its bits."""
+    if degree > MAX_EXPONENT:
+        raise InputError(f"{what.format(*args)} has degree above {MAX_EXPONENT}")
+    size = (degree + 1) * max(degree + 1, bits) if dense else bits
+    if size > MAX_POWER_SIZE:
+        raise InputError(f"{what.format(*args)} has size above {MAX_POWER_SIZE} bits")
+    return size
 
 
 def _as_fraction(value: Coeff) -> Fraction:

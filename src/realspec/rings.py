@@ -33,6 +33,7 @@ from .polynomials import (
     Poly,
     Factorization,
     bezout_many,
+    check_size,
     ext_gcd,
     factor,
     gcd,
@@ -191,14 +192,6 @@ class Ideal:
     ring: Ring
     gen: Poly
 
-    def is_zero(self) -> bool:
-        return self.gen == self.ring.modulus
-
-    def product(self, other: "Ideal") -> "Ideal":
-        if self.ring != other.ring:
-            raise RingMismatchError("ideals of different rings")
-        return self.ring.ideal(self.gen * other.gen)
-
     def __str__(self) -> str:
         return f"({self.gen})"
 
@@ -207,9 +200,9 @@ def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
     """The ideal the family generates, in canonical form.
 
     The monic gcd of the lifts and the modulus, so the generator always
-    divides the modulus and the zero ideal is the modulus itself (0 in Q[x]).
-    One gcd per nonzero lift, folded into an accumulator that starts at the
-    zero ideal. `bezout_many` gives the same gcd with Bezout coefficients.
+    divides the modulus and the zero ideal is the modulus itself (0 in Q[x]):
+    one gcd per nonzero lift, folded from the zero ideal on (gcd(0, g) is
+    monic g). `bezout_many` gives the same gcd with Bezout coefficients.
     """
     acc = ring.modulus
     for g in gens:
@@ -220,7 +213,7 @@ def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
         elif not isinstance(g, Poly):
             g = Poly.const(Fraction(g))
         if not g.is_zero():
-            acc = gcd(acc, g) if not acc.is_zero() else g.monic()
+            acc = gcd(acc, g)
     return Ideal(ring, acc)
 
 
@@ -276,23 +269,6 @@ def annihilator(z: RingElem) -> Ideal:
     return ring.ideal(m // gcd(m, z.rep))
 
 
-def local_modulus(g: RingElem) -> Poly:
-    """R_g: the product of the p^e exactly dividing the modulus with p
-    real-rooted and p not dividing g; in Q[x], 0 for g != 0 and 1 for g = 0.
-    Some s in g's multiplicative set Sigma_g has s*c = 0 exactly when R_g
-    divides c, so two elements agree in Sigma_g^-1 A exactly when R_g divides
-    their difference (see `sheaves`). In a quotient ring Sigma_g^-1 A is
-    A/(R_g); in Q[x] it is not, as R_g = 0 and 1/(1+x^2) lies in it."""
-    ring = g.ring
-    if not ring.is_quotient:
-        return Poly.one() if g.is_zero() else Poly.zero()
-    out = Poly.one()
-    for p, e in ring.real_factors:
-        if not p.divides(g.rep):
-            out = out * p**e
-    return out
-
-
 def real_radical(ideal: Ideal) -> Ideal:
     """Smallest real ideal containing the given one.
 
@@ -333,6 +309,16 @@ class Certificate:
     sos: SumOfSquares
     gens: tuple[RingElem, ...]
     coeffs: tuple[RingElem, ...]
+
+
+def checked_power(base: RingElem, m: int) -> int:
+    """m, after refusing m < 0 and a base^(2m) over the budget as a dense
+    value: degree 2m * max(deg base, 1), bits 2m * bit length of the height."""
+    if m < 0:
+        raise DomainError(f"exponent {m} is negative")
+    n = 2 * m
+    check_size(n * max(base.rep.degree, 1), n * base.rep.height.bit_length(), "({})^({})", base, n)
+    return m
 
 
 def verify_certificate(cert: Certificate) -> bool:
@@ -581,7 +567,8 @@ def find_certificate(ideal: Ideal, a: RingElem) -> CertificateOutcome:
 
 def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, RingElem]]:
     """(m, sos, cofactor) with a^(2m) + sos = cofactor * gen, as
-    find_certificate builds it but not yet verified; None for a non-member."""
+    find_certificate builds it but not yet verified; None for a non-member.
+    An a^(2m) over the budget is an InputError, as in a document."""
     ring, gen = ideal.ring, ideal.gen
     if a.is_zero():
         return 1, SumOfSquares(), ring.zero()  # 0^2 = 0 * gen
@@ -589,7 +576,7 @@ def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, Rin
         return None  # the zero ideal of Q[x] holds only 0
     a_lift = a.rep
     if gen.is_one():  # the unit ideal, as for nearly every glue: no factor pass
-        return 1, SumOfSquares(), ring.elem(a_lift * a_lift)
+        return checked_power(a, 1), SumOfSquares(), ring.elem(a_lift * a_lift)
     m, parts = 1, []
     for p, e in factor(gen).factors:
         v = _multiplicity(a_lift, p, e)  # v >= e/2 gives m = 1 already
@@ -599,7 +586,7 @@ def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, Rin
             return None  # a real prime contains gen and not a
         else:
             parts.append((p, e))
-    a_m = a_lift**m
+    a_m = a_lift ** checked_power(a, m)
     weighted = _merge(((w, a_m * t) for w, t in _neg_one_mod(parts)), gen)
     v = a_m * a_m
     for w, h in weighted:

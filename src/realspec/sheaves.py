@@ -14,10 +14,11 @@ g_i*a = den*a_i on every patch.
 Each equality below is one rule: a kernel divides the cross difference.
 
 For A = Q[x]/(m) (Q[x] is m = 0) let R_f be the product of the prime powers
-p^e exactly dividing m with p real-rooted and p not dividing f
-(`rings.local_modulus`; 0 in Q[x] for f != 0). In every A, s*c = 0 for some
-s in Sigma_f exactly when R_f divides c: `sigma_eq`, and with R_(g_i g_j)
-the overlap test of `section_validate` and `section_eq`.
+p^e exactly dividing m with p real-rooted and p not dividing f (0 in Q[x]
+for f != 0). In every A, s*c = 0 for some s in Sigma_f exactly when R_f
+divides c, that is, as the p^e are coprime, when every real p^e with p not
+dividing f divides c (c = 0 or f = 0 in Q[x]): `_vanishes`, for `sigma_eq`
+and, with f = g_i g_j, the overlap test of `section_validate` and `section_eq`.
 - For m != 0, s = f^(2k) + sos in Sigma_f is a unit mod R_f: at a real root
   r of such a p, f(r) != 0, so s(r) > 0 and p does not divide s. Conversely
   every real factor of m / R_f divides f, so f lies in the real radical of
@@ -58,7 +59,6 @@ from .rings import (
     RingElem,
     SigmaDenominator,
     combination_certificate,
-    local_modulus,
     verify_certificate,
 )
 from .spectrum import RealPrime, cover_check, v_of
@@ -141,20 +141,22 @@ class ValidationReport:
 # equality in the localization
 
 
-def _same_ambient(u: SigmaFraction, v: SigmaFraction) -> Ring:
-    ring = u.numerator.ring
-    if v.numerator.ring != ring:
-        raise RingMismatchError("fractions of different rings")
-    if u.f != v.f:
-        raise DomainError("fractions over different localizations")
-    return ring
+def _vanishes(g: RingElem, c: RingElem) -> bool:
+    """Whether s*c = 0 for some s in Sigma_g (see the module docstring)."""
+    ring = g.ring
+    if not ring.is_quotient:
+        return c.is_zero() or g.is_zero()
+    return all(p.divides(g.rep) or (p**e).divides(c.rep) for p, e in ring.real_factors)
 
 
 def sigma_eq(u: SigmaFraction, v: SigmaFraction) -> bool:
-    """Equality in the localization A/(R_f): R_f divides the cross difference."""
-    _same_ambient(u, v)
+    """Equality in the localization A/(R_f): the cross difference vanishes there."""
+    if v.numerator.ring != u.numerator.ring:
+        raise RingMismatchError("fractions of different rings")
+    if u.f != v.f:
+        raise DomainError("fractions over different localizations")
     cross = u.numerator * v.denominator.value() - v.numerator * u.denominator.value()
-    return local_modulus(u.f).divides(cross.rep)
+    return _vanishes(u.f, cross)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def psi(u: SigmaFraction) -> Section:
 
 def _overlap_compatible(p: LocalFraction, q: LocalFraction) -> bool:
     cross = p.numerator * q.denominator - q.numerator * p.denominator
-    return local_modulus(p.denominator * q.denominator).divides(cross.rep)
+    return _vanishes(p.denominator * q.denominator, cross)
 
 
 def section_validate(s: Section) -> ValidationReport:

@@ -76,9 +76,6 @@ class ClosedSet:
     def is_empty(self) -> bool:
         return self.gen.is_one()
 
-    def defining_ideal(self) -> Ideal:
-        return self.ring.ideal(self.gen)  # 0 gives the zero ideal
-
     def __str__(self) -> str:
         if self.is_whole():
             return "V(0)"
@@ -113,8 +110,9 @@ def _check_same_ring(sets: Sequence[ClosedSet]) -> Ring:
 
 
 def closed_union(v1: ClosedSet, v2: ClosedSet) -> ClosedSet:
-    _check_same_ring([v1, v2])
-    return v_of(v1.defining_ideal().product(v2.defining_ideal()))
+    """V(I) u V(J) = V(IJ); a whole set's 0 makes the product 0."""
+    ring = _check_same_ring([v1, v2])
+    return v_of(ring.ideal(v1.gen * v2.gen))
 
 
 def closed_intersect(vs: Sequence[ClosedSet]) -> ClosedSet:

@@ -199,7 +199,7 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _ring(f: list[int], p: int) -> tuple:
+def _gf_ring(f: list[int], p: int) -> tuple:
     """GF(p)[x]/(f) for a monic f of degree n: p, n, w and x^n, ..., x^(2n-2) mod f packed."""
     n, w = len(f) - 1, 2 * p.bit_length() + (2 * len(f)).bit_length()
     row = low = [-c % p for c in f[:-1]]
@@ -248,7 +248,7 @@ def _gf_factor(f: list[int], p: int) -> list[list[int]]:
     """The monic irreducible factors of a monic squarefree f over GF(p), p odd:
     distinct-degree factoring by repeated p-th powering, then equal-degree
     splitting with a private generator at a fixed seed."""
-    ring, out, h, d, rng = _ring(f, p), [], [0, 1], 0, random.Random(0)
+    ring, out, h, d, rng = _gf_ring(f, p), [], [0, 1], 0, random.Random(0)
     while 2 * (d + 1) < len(f):
         d += 1
         h = _powmod(h, p, ring)  # x^(p^d) modulo the first f

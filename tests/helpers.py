@@ -349,8 +349,9 @@ def reference_prime_in(kind: str, gen: Optional[Poly], closed_gen: Poly) -> bool
 
 
 def reference_compatible(cross: RingElem, g: RingElem) -> bool:
-    """Whether cross is 0 on D(g), as the library decided it before the local
-    modulus: g lies in the real radical of the annihilator of cross."""
+    """Whether cross is 0 on D(g), as the library decided it before it asked
+    each real prime power of the modulus: g lies in the real radical of the
+    annihilator of cross."""
     return real_radical_member(annihilator(cross), g)
 
 

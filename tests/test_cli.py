@@ -582,19 +582,23 @@ class TestExponentBudget:
         assert run(capsys, "cover", "--f", "x^65536", "x")[:2] == (0, "true\n")
 
     @pytest.mark.parametrize("argv, want", [
-        (("cert", "find", "x", "x^65536"), "member: true\ncertificate: m=1 sos=[] cofactor=x^131071\n"),
-        (("subcover", "--f", "x^65536", "x"), "indices [0]\ncertificate: coeffs=[x^131071] m=1 sos=[]\n"),
-        (("section", "glue", "--f", "x^65536", "--patch", "x:1"),
-         "x^131071 / x^131072\ncertificate: coeffs=[x^131071] k=1 sos=[]\n"),
-        (("cover", "--f", "x", "x^65536"), "true\n"),
-        (("section", "validate", "--f", "x", "--patch", "x^65536:1"), "valid: true\n"),
+        (("cert", "find", "x", "x^65536"), (2, "")),
+        (("subcover", "--f", "x^65536", "x"), (2, "")),
+        (("section", "glue", "--f", "x^65536", "--patch", "x:1"), (2, "")),
+        (("cover", "--f", "x", "x^65536"), (0, "true\n")),
+        (("section", "validate", "--f", "x", "--patch", "x^65536:1"), (0, "valid: true\n")),
     ], ids=["cert-find", "subcover", "section-glue", "cover", "section-validate"])
     def test_largest_admitted_prime_power(self, capsys, argv, want):
         """x^65536 against its prime x, in well under a second each: the
         witness reads x's multiplicity in x^65536 only up to the ideal's, and
         the real radical test strips 65536 copies of x in a logarithmic
-        number of gcds, not one gcd per copy."""
-        assert run(capsys, *argv)[:2] == (0, want)
+        number of gcds, not one gcd per copy. A certificate for x^65536 has
+        f = x^65536 and m = 1, and f^2 is past the budget, so the three
+        certificate commands refuse it as cert verify refuses its document."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == want
+        if code:
+            assert err == "error: (x^65536)^(2) has degree above 65536\n"
 
     def test_certify_corpus_within_budget(self, capsys, monkeypatch):
         """Every document of the benchmark's certify corpus stays under the
@@ -821,3 +825,54 @@ class TestFuzz:
         assert "Traceback" not in err
         if code == 3:
             assert out == "" and err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# round trip: what a command prints, cert verify accepts
+
+_valid_rings = st.one_of(st.just("Q[x]"), _valid_texts.map(lambda p: f"Q[x]/({p})"))
+_valid_one = _valid_texts.map(lambda p: [p])
+_valid_f = _valid_texts.map(lambda p: ["--f", p])
+_valid_ring = _valid_rings.map(lambda r: ["--ring", r])
+_valid_gens = st.lists(_valid_texts, min_size=1, max_size=3)
+_valid_patches = st.lists(
+    st.tuples(_valid_texts, _valid_texts).map(":".join), min_size=1, max_size=3
+)
+_producers = st.one_of(
+    _cat(_command("cert find"), _valid_ring, _valid_one, _valid_one),
+    _cat(_command("subcover"), _valid_ring, _valid_f, _valid_gens),
+    _cat(_command("section glue"), _valid_ring, _valid_f, _flags("--patch", _valid_patches)),
+)
+
+
+class TestRoundTrip:
+    """cert find, subcover and section glue refuse a certificate that cert
+    verify would refuse, so every document they print verifies."""
+
+    @given(_producers)
+    @example(["cert", "find", "x", "x^65536"])  # f^2 = x^131072 is past the budget
+    @settings(max_examples=100, deadline=None)
+    def test_printed_documents_verify(self, argv):
+        code, out, err = _main([*argv, "--json"])
+        assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+        if code or json.loads(out).get("member") is False:
+            return
+        assert _main(["cert", "verify"], out) == (0, "verified: true\n", ""), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["cert", "find", "x^64", "x*(x+1)^200"],
+        ["subcover", "--f", "x*(x+1)^200", "x^64"],
+        ["section", "glue", "--f", "x*(x+1)^200", "--patch", "x^64:1"],
+    ], ids=["cert-find", "subcover", "section-glue"])
+    def test_dense_power_refused_before_expanding(self, argv):
+        """Each would expand (x*(x+1)^200)^64, which ran for minutes; each
+        exits 2 in a fresh process within 10 s, with no document."""
+        src = str(Path(realspec.__file__).resolve().parents[1])
+        env = {**os.environ}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "realspec.cli", *argv, "--json"],
+            capture_output=True, text=True, env=env, check=False, timeout=10,
+        )
+        assert _usage_error(proc.returncode, proc.stdout, proc.stderr)
+        assert "Traceback" not in proc.stderr

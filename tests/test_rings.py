@@ -113,8 +113,8 @@ class TestRingConstruction:
         assert not Ring(Poly.zero()).is_quotient and str(Ring(Poly.zero())) == "Q[x]"
         with pytest.raises(DomainError):
             Ring.quotient(Poly.zero())
-        assert BASE.zero_ideal().is_zero() and BASE.zero_ideal().gen.is_zero()
-        assert quot("x^2-x").zero_ideal().is_zero()
+        assert BASE.zero_ideal().gen == BASE.modulus and BASE.zero_ideal().gen.is_zero()
+        assert quot("x^2-x").zero_ideal().gen == quot("x^2-x").modulus
 
     def test_classify_examples(self):
         def classify(ring):

@@ -422,8 +422,9 @@ def rings_and_elems(draw):
 
 
 class TestOneEqualityRule:
-    """sigma_eq and the overlap test decide by the local modulus R_g; they
-    agree with the reference: g in the real radical of Ann(cross)."""
+    """sigma_eq and the overlap test decide one real prime power of the
+    modulus at a time (every real p^e with p not dividing g divides cross);
+    they agree with the reference: g in the real radical of Ann(cross)."""
 
     @given(rings_and_elems())
     @settings(max_examples=200, deadline=None)
