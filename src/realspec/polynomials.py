@@ -109,10 +109,6 @@ class Poly:
         return _ONE
 
     @staticmethod
-    def x() -> "Poly":
-        return _X
-
-    @staticmethod
     def const(value: Coeff) -> "Poly":
         return Poly.monomial(value, 0)
 
@@ -356,7 +352,6 @@ def _monic(prim: list[int]) -> Poly:
 
 _ZERO = _make(Fraction(0), ())
 _ONE = _make(Fraction(1), (1,))
-_X = _make(Fraction(1), (0, 1))
 
 
 def power(base, n: int, one):

@@ -43,7 +43,7 @@ from .polynomials import (
     strip,
 )
 
-ElemLike = Union["RingElem", Poly, Fraction, int]
+ElemLike = Union["RingElem", Poly]
 
 
 @dataclass(frozen=True)
@@ -103,25 +103,24 @@ class Ring:
     @cached_property
     def real_idempotent(self) -> "RingElem":
         """e = 1 mod the real-rooted prime powers r of the modulus and 0 mod
-        the rest n = m / r: e = t*n from s*r + t*n = 1. It is 1 in Q[x] and
-        whenever n = 1."""
+        the rest n = m / r: e = t*n from s*r + t*n = 1. It is 1 in Q[x], and
+        whenever n = 1 (then t = 1)."""
+        if not self.is_quotient:
+            return self.one()
         real = Poly.one()
         for p, mult in self.real_factors:
             real = real * p**mult
         rest = self.modulus // real
-        if rest.is_one() or not self.is_quotient:
-            return self.one()
         return self.elem(ext_gcd(real, rest)[2] * rest)
 
     # -- construction of elements and ideals ---------------------------
 
     def elem(self, value: ElemLike) -> "RingElem":
+        """value itself, or the element a Poly lifts (reduced in a quotient)."""
         if isinstance(value, RingElem):
             if value.ring != self:
                 raise RingMismatchError("element belongs to a different ring")
             return value
-        if isinstance(value, (Fraction, int)):
-            value = Poly.const(Fraction(value))
         rep = value % self.modulus if self.is_quotient else value
         return RingElem(self, rep)
 
@@ -197,7 +196,7 @@ class Ideal:
 
 
 def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
-    """The ideal the family generates, in canonical form.
+    """The ideal, in canonical form, that elements of ring or Poly lifts generate.
 
     The monic gcd of the lifts and the modulus, so the generator always
     divides the modulus and the zero ideal is the modulus itself (0 in Q[x]):
@@ -210,8 +209,6 @@ def ideal_sum(ring: Ring, gens: Iterable[ElemLike]) -> Ideal:
             if g.ring != ring:
                 raise RingMismatchError("generator belongs to a different ring")
             g = g.rep
-        elif not isinstance(g, Poly):
-            g = Poly.const(Fraction(g))
         if not g.is_zero():
             acc = gcd(acc, g)
     return Ideal(ring, acc)
@@ -618,4 +615,6 @@ def combination_certificate(f: RingElem, gens: Sequence[RingElem]) -> Certificat
         raise DomainError("f is not in the real radical of the family's ideal")
     m, sos, cofactor = witness
     coeffs = tuple(cofactor * ring.elem(c) for c in cs[: len(gens)])
+    for c in coeffs:  # costed as `cert verify` costs each printed term
+        check_size(c.rep.degree, c.rep.height.bit_length(), "certificate coefficient", dense=False)
     return _verified(Certificate(f, m, sos, gens, coeffs))

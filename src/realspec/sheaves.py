@@ -30,11 +30,12 @@ and, with f = g_i g_j, the overlap test of `section_validate` and `section_eq`.
   Gamma(D(f)) by the paper's theorem, which glue's certificate shows each
   time.
 - The real idempotent e (1 mod the real prime powers of m, 0 mod the rest)
-  kills the non-real part of m. On a real p^k with p not dividing g_i g_j
-  a valid section has p^k | c_ij = a_i g_j - a_j g_i, and where p divides
-  g_i g_j, (g_i g_j)^k is 0 mod p^k. So e (g_i g_j)^N c_ij = 0 for some N at
-  most the largest multiplicity of a real factor of m (1 in Q[x]), the
-  patches (e g_i^N a_i, g_i^(N+1)) agree exactly and still restrict the
+  kills the non-real part of m, so e (g_i g_j)^N c_ij = 0, c_ij = a_i g_j -
+  a_j g_i, iff every real p^k of m divides (g_i g_j)^N c_ij. Some N up to the
+  largest real multiplicity does it iff each such p divides g_i g_j or p^k |
+  c_ij; in Q[x] (e = 1, N <= 1) iff c_ij = 0 or g_i g_j = 0: iff the pair
+  agrees (`_vanishes`), so `equalize`'s search for N is the pair test. The
+  patches (e g_i^N a_i, g_i^(N+1)) then agree exactly and still restrict the
   section (e = 1 mod R_(g_i)), and `glue` always ends in a fraction.
 
 At a real prime P = (p) the stalk is A_P = A/(p^e), p^e the power of p
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InternalError, NotASectionError, OutOfDomainError, RingMismatchError
-from .polynomials import Poly
+from .polynomials import Poly, check_size
 from .rings import (
     Certificate,
     Ring,
@@ -204,9 +205,9 @@ def equalize(s: Section) -> Section:
     """Same section, rewritten so g_i * a_j = g_j * a_i holds exactly: s
     itself when every cross term c_ij = a_i g_j - a_j g_i is 0, else the
     patches (e g_i^N a_i, g_i^(N+1)) for the real idempotent e and the least
-    N with e (g_i g_j)^N c_ij = 0 for all pairs. The section is validated
-    here, and the rewrite relies on that check."""
-    if not section_validate(s).ok:
+    N with e (g_i g_j)^N c_ij = 0 for all pairs. After the cover check, the
+    search for N within its bound is the pair test (see the module docstring)."""
+    if s.f.is_zero() or not cover_check(s.f, s.denominators()):
         raise NotASectionError("the local data is not a section")
     ring, pats = s.ring, s.patches
     pairs = [
@@ -225,7 +226,7 @@ def equalize(s: Section) -> Section:
         while not acc.is_zero():
             k += 1
             if k > bound:
-                raise InternalError("internal error: no equalizing exponent within the bound")
+                raise NotASectionError("the local data is not a section")
             acc = acc * prod
         n = max(n, k)
     patches = tuple(
@@ -260,7 +261,7 @@ def glue(s: Section) -> GlueOutcome:
 
     `equalize` validates the section, once. The certificate's gens are the
     equalized denominators; `combination_certificate` has verified it, so
-    only the closing identity is checked here.
+    only the closing identity is checked here, once the new fractions are costed.
     """
     ring = s.ring
     eq = equalize(s)
@@ -268,6 +269,8 @@ def glue(s: Section) -> GlueOutcome:
     num = ring.zero()
     for b, p in zip(cert.coeffs, eq.patches):
         num = num + b * p.numerator
+    for v in (num, *(q for p in eq.patches for q in (p.numerator, p.denominator))):
+        check_size(v.rep.degree, v.rep.height.bit_length(), "glue numerator or patch", dense=False)
     result = SigmaFraction(num, SigmaDenominator(s.f, cert.m, cert.sos))
     if not _closes(eq, result):
         raise InternalError("internal error: glue result failed verification")

@@ -48,10 +48,6 @@ class RealPrime:
         if not real:
             raise DomainError(f"({g}) is not a real prime of {ring}")
 
-    @staticmethod
-    def zero(ring: Ring) -> "RealPrime":
-        return RealPrime(ring, Poly.zero())
-
     def contains(self, a: RingElem) -> bool:
         if a.ring != self.ring:
             raise RingMismatchError("element belongs to a different ring")

@@ -70,8 +70,6 @@ def _quo(f: list[int], h: list[int]) -> list[int] | None:
     at the first leading entry that lc(h) does not divide, or at a nonzero
     remainder."""
     m, lead = len(h) - 1, h[-1]
-    if len(f) <= m:
-        return None
     r, low, q = list(f), h[:-1], [0] * (len(f) - m)
     for k in range(len(f) - 1, m - 1, -1):
         c = r[k]

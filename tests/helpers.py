@@ -621,7 +621,7 @@ class _ReferenceParser:
             return Poly.const(Fraction(num))
         if tok.kind == "x":
             self.advance()
-            return Poly.x()
+            return Poly([0, 1])
         if tok.kind == "op" and tok.text == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", tok.column)

@@ -267,6 +267,8 @@ class TestSections:
         assert code == 0
         assert "valid: false" in out
         assert "(0, 1)" in out
+        code, out, err = run(capsys, "section", "validate", "--f", "1", "--patch", "x")
+        assert (code, out, err) == (2, "", "error: patch must look like <g>:<a> (column 1)\n")
 
     def test_stalk(self, capsys):
         code, out, _ = run(
@@ -310,6 +312,13 @@ class TestSections:
             "--num2", "0", "--m2", "1",
         )
         assert (code, out.strip()) == (0, "true")
+        # (x^2+1)/(1 + x^2) against 1 and against (x^2+c)/(1 + x^2 + 1^2)
+        argv = ("sigma-eq", "--f", "1", "--num1", "x^2+1", "--sos1", "x")
+        assert run(capsys, *argv, "--num2", "1") == (0, "true\n", "")
+        assert run(capsys, *argv, "--num2", "x^2+2", "--sos2", "x,1") == (0, "true\n", "")
+        assert run(capsys, *argv, "--num2", "x^2+1", "--sos2", "x,1") == (0, "false\n", "")
+        code, out, err = run(capsys, *argv, "--num2", "1", "--sos2", "x,,1")  # an empty term
+        assert _usage_error(code, out, err) and "(column 1)" in err
 
 
 class TestCertificates:
@@ -817,6 +826,8 @@ class TestFuzz:
     @example((["cover", "--ring", "Q[x]/((x+2)^200)", "--f", "x^65536", "x"], ""))
     @example((["section", "stalk", "--f", "x", "--patch", "0:1", "--prime", "0"], ""))
     @example((["section", "glue", "--f", "1", "--patch", "0:1"], ""))
+    @example((["section", "glue", "--f", "1", "--patch", "1:1", "--patch", "x"], ""))
+    @example((["sigma-eq", "--f", "x", "--num1", "1", "--sos1", "x,,1", "--num2", "1"], ""))
     @settings(max_examples=200, deadline=None)
     def test_main_ends_in_an_exit_code(self, case):
         argv, stdin = case
@@ -851,10 +862,18 @@ class TestRoundTrip:
 
     @given(_producers)
     @example(["cert", "find", "x", "x^65536"])  # f^2 = x^131072 is past the budget
+    # a Q[x] product past what the verifier parses: the numerator x^65537, a
+    # coefficient of degree 65554 (twice), an equalized patch x^80000
+    @example(["section", "glue", "--f", "x", "--patch", "1:x^65535"])
+    @example(["section", "glue", "--f", "x^10", "--patch", "x^65535:0", "--patch", "x-1:0"])
+    @example(["subcover", "--f", "x^10", "x^65535", "x-1"])
+    @example(["section", "glue", "--f", "1", "--patch", "x^40000:x^40000", "--patch", "0:1",
+              "--patch", "1:1"])
     @settings(max_examples=100, deadline=None)
     def test_printed_documents_verify(self, argv):
         code, out, err = _main([*argv, "--json"])
         assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+        assert code != 2 or _usage_error(code, out, err), (argv, out, err)
         if code or json.loads(out).get("member") is False:
             return
         assert _main(["cert", "verify"], out) == (0, "verified: true\n", ""), argv

@@ -175,6 +175,20 @@ class TestEqualize:
         # D(x) misses the prime (x), so one patch on it does not cover D(1)
         with pytest.raises(NotASectionError):
             equalize(section(quot("x^2-x"), "1", [("x", "1")]))
+        # (x:1, x-1:2) differ on D(x^2-x): the exponent search passes N = 1, Q[x]'s bound
+        with pytest.raises(NotASectionError):
+            equalize(section(BASE, "x", [("x", "1"), ("0", "x"), ("x-1", "2")]))
+
+    def test_qx_pair_test_is_the_exponent_search(self):
+        # a zero denominator: the cross term -x is nonzero, but g_1 g_2 = 0 kills it at N = 1
+        s = section(BASE, "1", [("1", "1"), ("0", "x")])
+        out = glue(s)
+        assert [(p.numerator.rep, p.denominator.rep) for p in out.equalized.patches] == [
+            (P("1"), P("1")), (P("0"), P("0"))
+        ]
+        assert str(out.fraction) == "1 / 1"
+        assert verify_glue(out.equalized, out.fraction, out.certificate)
+        assert section_eq(s, psi(out.fraction))
 
 
 class TestGlue:

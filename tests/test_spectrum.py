@@ -92,7 +92,7 @@ class TestClosedSets:
         with pytest.raises(DomainError):
             RealPrime(BASE, P("x^2-1"))  # not irreducible
         with pytest.raises(DomainError):
-            RealPrime.zero(quot("x^2-x"))  # quotient has no zero prime
+            RealPrime(quot("x^2-x"), Poly.zero())  # quotient has no zero prime
         with pytest.raises(DomainError):
             RealPrime(quot("x^2-x"), P("x-5"))  # does not divide modulus
 
@@ -148,7 +148,7 @@ def primes_and_elems(draw):
 
     if draw(st.booleans()):
         ring = BASE
-        primes = [RealPrime.zero(BASE)] + [RealPrime(BASE, p) for p in _POOL if has_real_root(p)]
+        primes = [RealPrime(BASE, Poly.zero())] + [RealPrime(BASE, p) for p in _POOL if has_real_root(p)]
     else:
         modulus = product(draw(exponents))
         assume(not modulus.is_constant())
@@ -180,7 +180,7 @@ class TestOneContainmentRule:
                     assert stalk_at(section, p).denominator == a
 
     def test_markers_and_zero_prime(self):
-        zero, x = RealPrime.zero(BASE), RealPrime(BASE, P("x"))
+        zero, x = RealPrime(BASE, Poly.zero()), RealPrime(BASE, P("x"))
         assert zero.contains(BASE.zero()) and not zero.contains(BASE.one())
         assert str(zero) == "(0)" and str(x) == "(x)"
 
