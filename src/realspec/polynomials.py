@@ -1,18 +1,20 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A ``Poly`` is a rational content ``_c`` times a primitive integer tuple
-``_p`` (index = degree, entries of gcd 1, last entry positive); the zero
-polynomial is ``(0, ())``. The form is unique, so equality and hashing
-compare the pair, and coefficient arithmetic runs on Python ints. By
-Gauss's lemma a product of primitive polynomials is primitive, so ``*`` is
-an integer convolution, one row per nonzero entry of the shorter operand,
-times the product of the contents; ``**`` is `power`; ``+`` takes one
-integer gcd; division is integer long division that scales by the
-divisor's leading entry only when it does not divide the current leading
-term (a monic integer modulus never scales). ``coeffs`` builds
-``Fraction``s on demand, for ordering; printing reduces each coefficient
-with one integer gcd, and a coefficient with more digits than the
-interpreter converts is a `DomainError`.
+A ``Poly`` is a content ``_n/_d`` (coprime ints, ``_d > 0``) times a
+primitive integer tuple ``_p`` (index = degree, entries of gcd 1, last entry
+positive); the zero polynomial is ``(0, 1, ())``. The form is unique, so
+equality and hashing compare the triple. Arithmetic runs on Python ints and
+reduces each content with one integer gcd. By Gauss's lemma a product of
+primitive polynomials is primitive, so ``*`` is an integer convolution, one
+row per nonzero entry of the shorter operand, times the product of the
+contents; ``**`` is `power`; ``+`` takes one integer gcd; division is
+integer long division that scales by the divisor's leading entry only when
+it does not divide the current leading term (a monic integer modulus never
+scales). ``Fraction`` is only the boundary's: ``Poly(...)``, `const`,
+`monomial` and `scale` take it, and ``coeffs``, ``leading``,
+``coefficient``, ``_c`` and `Factorization.unit` build it on demand.
+Printing reduces each coefficient with one integer gcd, and a coefficient
+with more digits than the interpreter converts is a `DomainError`.
 
 On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
@@ -29,7 +31,7 @@ lift to p^l past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient|
 same int lists, with pseudo-remainders kept positive multiples of the true
 ones; an odd-degree polynomial has a real root without one. Bezout runs on
 Poly arithmetic. Root counts and real parts are invariant under scaling, so
-their caches are keyed on ``_p``; factorizations on ``(content, _p)``.
+their caches are keyed on ``_p``; factorizations on ``(_n, _d, _p)``.
 """
 
 from __future__ import annotations
@@ -84,16 +86,14 @@ def _as_fraction(value: Coeff) -> Fraction:
 
 
 class Poly:
-    """Polynomial in x over Q: content ``_c`` times primitive ints ``_p``."""
+    """Polynomial in x over Q: content ``_n/_d`` times primitive ints ``_p``."""
 
-    __slots__ = ("_c", "_p")
+    __slots__ = ("_n", "_d", "_p")
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
+    def __new__(cls, coeffs: Iterable[Coeff] = ()):
         cs = [_as_fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
-        q = _canonical([c.numerator * (den // c.denominator) for c in cs], 1, den)
-        _set_c(self, q._c)
-        _set_p(self, q._p)
+        return _canonical([c.numerator * (den // c.denominator) for c in cs], 1, den)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Poly is immutable")
@@ -117,14 +117,18 @@ class Poly:
         if power < 0:
             raise DomainError("monomial power must be nonnegative")
         c = _as_fraction(coeff)
-        return _make(c, (0,) * power + (1,)) if c else _ZERO
+        return _make(c.numerator, c.denominator, (0,) * power + (1,)) if c else _ZERO
 
     # -- basic queries ------------------------------------------------
 
     @property
+    def _c(self) -> Fraction:
+        return Fraction(self._n, self._d)
+
+    @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        c = self._c
-        return tuple(Fraction(c.numerator * x, c.denominator) for x in self._p)
+        n, d = self._n, self._d
+        return tuple(Fraction(n * x, d) for x in self._p)
 
     @property
     def degree(self) -> Union[int, float]:
@@ -134,13 +138,13 @@ class Poly:
     def leading(self) -> Fraction:
         if not self._p:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self._c * self._p[-1]
+        return Fraction(self._n * self._p[-1], self._d)
 
     def is_zero(self) -> bool:
         return not self._p
 
     def is_one(self) -> bool:
-        return self._p == (1,) and self._c == 1
+        return self._p == (1,) and self._n == 1 and self._d == 1
 
     def is_constant(self) -> bool:
         return len(self._p) <= 1
@@ -155,12 +159,11 @@ class Poly:
         """1-norm of the numerators over their common denominator (the
         content's numerator times the primitive entries), or that
         denominator if larger."""
-        c = self._c
-        return max(abs(c.numerator) * sum(map(abs, self._p)), c.denominator)
+        return max(abs(self._n) * sum(map(abs, self._p)), self._d)
 
     def coefficient(self, power: int) -> Fraction:
         if 0 <= power < len(self._p):
-            return self._c * self._p[power]
+            return Fraction(self._n * self._p[power], self._d)
         return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
@@ -171,10 +174,9 @@ class Poly:
             return self
         if not a:
             return other
-        ca, cb = self._c, other._c
-        da, db = ca.denominator, cb.denominator
+        da, db = self._d, other._d
         g = math.gcd(da, db)
-        fa, fb = ca.numerator * (db // g), cb.numerator * (da // g)
+        fa, fb = self._n * (db // g), other._n * (da // g)
         out = [fa * x for x in a]
         if len(b) > len(a):
             out.extend([0] * (len(b) - len(a)))
@@ -188,7 +190,7 @@ class Poly:
         monomial num/den * x^k given as (num, den, k) with den > 0."""
         den, top = 1, 0
         for t in terms:
-            d, degree = (t[1], t[2]) if type(t) is tuple else (t._c.denominator, len(t._p) - 1)
+            d, degree = (t[1], t[2]) if type(t) is tuple else (t._d, len(t._p) - 1)
             if d != 1:
                 den = math.lcm(den, d)
             top = degree if degree > top else top
@@ -197,13 +199,13 @@ class Poly:
             if type(t) is tuple:
                 out[t[2]] += t[0] * (den // t[1])
             else:
-                f = t._c.numerator * (den // t._c.denominator)
+                f = t._n * (den // t._d)
                 for i, y in enumerate(t._p):
                     out[i] += f * y
         return _canonical(out, 1, den)
 
     def __neg__(self) -> "Poly":
-        return _make(-self._c, self._p)
+        return _make(-self._n, self._d, self._p)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -219,11 +221,11 @@ class Poly:
             if x:
                 for j, y in enumerate(a, i):
                     out[j] += x * y
-        return _make(self._c * other._c, tuple(out))  # primitive by Gauss's lemma
+        return _reduced(self._n * other._n, self._d * other._d, tuple(out))  # primitive by Gauss's lemma
 
     def scale(self, value: Coeff) -> "Poly":
         v = _as_fraction(value)
-        return _make(self._c * v, self._p) if v and self._p else _ZERO
+        return _reduced(self._n * v.numerator, self._d * v.denominator, self._p) if v and self._p else _ZERO
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -254,10 +256,10 @@ class Poly:
                 quot[k - dn] = q
                 for j, d in enumerate(low, k - dn):
                     rem[j] -= q * d
-        ca, cb = self._c, other._c
+        na, da = self._n, self._d
         return (
-            _canonical(quot, ca.numerator * cb.denominator, ca.denominator * cb.numerator * scale),
-            _canonical(rem[:dn], ca.numerator, ca.denominator * scale),
+            _canonical(quot, na * other._d, da * other._n * scale),
+            _canonical(rem[:dn], na, da * scale),
         )
 
     def __floordiv__(self, other: "Poly") -> "Poly":
@@ -275,17 +277,17 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise DomainError("cannot normalize the zero polynomial")
-        return _make(Fraction(1, self._p[-1]), self._p)
+        return _make(1, self._p[-1], self._p)
 
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._p == other._p and self._c == other._c
+        return self._p == other._p and self._n == other._n and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self._c, self._p))
+        return hash((self._n, self._d, self._p))
 
     def sort_key(self) -> tuple:
         """Canonical order: degree, then coefficients leading to constant."""
@@ -297,7 +299,7 @@ class Poly:
         if not self._p:
             return "0"
         parts: list[str] = []
-        num, den = self._c.numerator, self._c.denominator
+        num, den = self._n, self._d
         for power in range(len(self._p) - 1, -1, -1):
             n = num * self._p[power]
             if not n:
@@ -319,16 +321,23 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
-_set_c = Poly._c.__set__  # slot setters, past the immutability guard
-_set_p = Poly._p.__set__
+# slot setters, past the immutability guard
+_set_n, _set_d, _set_p = Poly._n.__set__, Poly._d.__set__, Poly._p.__set__
 
 
-def _make(content: Fraction, prim: tuple[int, ...]) -> Poly:
-    """The Poly content * prim, from a pair already in canonical form."""
+def _make(num: int, den: int, prim: tuple[int, ...]) -> Poly:
+    """The Poly (num/den) * prim, from a triple already in canonical form."""
     out = object.__new__(Poly)
-    _set_c(out, content)
+    _set_n(out, num)
+    _set_d(out, den)
     _set_p(out, prim)
     return out
+
+
+def _reduced(num: int, den: int, prim: tuple[int, ...]) -> Poly:
+    """_make after one integer gcd: the content num/den may be unreduced."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return _make(num // g, den // g, prim)
 
 
 def _canonical(ints: list[int], num: int, den: int) -> Poly:
@@ -342,16 +351,21 @@ def _canonical(ints: list[int], num: int, den: int) -> Poly:
         g = -g
     if g != 1:
         ints = [x // g for x in ints]
-    return _make(Fraction(num * g, den), tuple(ints))
+    return _reduced(num * g, den, tuple(ints))
 
 
 def _monic(prim: list[int]) -> Poly:
     """The monic Poly of a primitive prim with positive last entry."""
-    return _make(Fraction(1, prim[-1]), tuple(prim))
+    return _make(1, prim[-1], tuple(prim))
 
 
-_ZERO = _make(Fraction(0), ())
-_ONE = _make(Fraction(1), (1,))
+def _inverse_leading(p: Poly) -> Poly:
+    """The constant 1/leading(p), for a nonzero p."""
+    return _reduced(p._d, p._n * p._p[-1], (1,))
+
+
+_ZERO = _make(0, 1, ())
+_ONE = _make(1, 1, (1,))
 
 
 def power(base, n: int, one):
@@ -383,16 +397,18 @@ def ext_gcd(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly]:
     """Return (g, s, t) with g = gcd(p, q) monic and s*p + t*q = g."""
     if p.is_zero() and q.is_zero():
         raise DomainError("gcd(0, 0) is undefined")
+    if len(q._p) == 1:  # a nonzero constant answers as gcd does, with no division
+        return _ONE, _ZERO, _inverse_leading(q)
+    if len(p._p) == 1:
+        return _ONE, _inverse_leading(p), _ZERO
     r0, r1 = p, q
-    s0, s1 = Poly.one(), Poly.zero()
-    t0, t1 = Poly.zero(), Poly.one()
+    s0, s1, t0, t1 = _ONE, _ZERO, _ZERO, _ONE
     while not r1.is_zero():
         quo, rem = divmod(r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, s0 - quo * s1
         t0, t1 = t1, t0 - quo * t1
-    lead = r0.leading
-    inv = Poly.const(Fraction(1) / lead)
+    inv = _inverse_leading(r0)
     return r0.monic(), inv * s0, inv * t0
 
 
@@ -405,7 +421,7 @@ def bezout_many(fs: Sequence[Poly]) -> tuple[Poly, list[Poly]]:
         if f.is_zero():
             coeffs.append(Poly.zero())
         elif g.is_zero():  # ext_gcd(0, f), without its division
-            g, coeffs = f.monic(), coeffs + [Poly.const(1 / f.leading)]
+            g, coeffs = f.monic(), coeffs + [_inverse_leading(f)]
         else:
             g, s, t = ext_gcd(g, f)
             coeffs = [s * c for c in coeffs] + [t]
@@ -452,18 +468,18 @@ def factor(p: Poly) -> Factorization:
     Yun's decomposition splits the primitive part into squarefree
     components, each carrying its multiplicity; `zassenhaus` factors each
     component over Z (Cantor-Zassenhaus mod p, Hensel lift past twice the
-    Mignotte bound, recombination). Cached on ``(content, _p)``."""
+    Mignotte bound, recombination). Cached on ``(_n, _d, _p)``."""
     if p.is_zero():
         raise DomainError("cannot factor the zero polynomial")
-    return _factor_cached(p._c, p._p)
+    return _factor_cached(p._n, p._d, p._p)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _factor_cached(content: Fraction, prim: tuple[int, ...]) -> Factorization:
+def _factor_cached(num: int, den: int, prim: tuple[int, ...]) -> Factorization:
     # The factors are monic, so the unit is the leading coefficient.
     pairs = [(_monic(f), mult) for comp, mult in kernel.yun(list(prim)) for f in kernel.zassenhaus(comp)]
     pairs.sort(key=lambda pm: pm[0].sort_key())
-    return Factorization(content * prim[-1], tuple(pairs))
+    return Factorization(Fraction(num * prim[-1], den), tuple(pairs))
 
 
 def is_irreducible(p: Poly) -> bool:

@@ -308,13 +308,18 @@ class Certificate:
     coeffs: tuple[RingElem, ...]
 
 
-def checked_power(base: RingElem, m: int) -> int:
-    """m, after refusing m < 0 and a base^(2m) over the budget as a dense
-    value: degree 2m * max(deg base, 1), bits 2m * bit length of the height."""
+def checked_power(base: RingElem, m: int, dense: bool = False) -> int:
+    """m, after refusing m < 0 and a base^(2m) over the budget: degree 2m *
+    max(deg base, 1), bits 2m * bit length of the height. It is costed as
+    dense, but as a shift for a one-term base in Q[x] unless dense. A refusal
+    names a word-size monomial as printed, any other base by its degree."""
     if m < 0:
         raise DomainError(f"exponent {m} is negative")
-    n = 2 * m
-    check_size(n * max(base.rep.degree, 1), n * base.rep.height.bit_length(), "({})^({})", base, n)
+    n, rep = 2 * m, base.rep
+    named = rep.terms == 1 and rep.height.bit_length() <= 64
+    what, name = ("({})^({})", base) if named else ("(a degree-{} polynomial)^({})", rep.degree)
+    dense = dense or rep.terms != 1 or base.ring.is_quotient
+    check_size(n * max(rep.degree, 1), n * rep.height.bit_length(), what, name, n, dense=dense)
     return m
 
 
@@ -583,7 +588,8 @@ def _witness(ideal: Ideal, a: RingElem) -> Optional[tuple[int, SumOfSquares, Rin
             return None  # a real prime contains gen and not a
         else:
             parts.append((p, e))
-    a_m = a_lift ** checked_power(a, m)
+    # a non-real part makes the cofactor (a^(2m) + sos) / gen dense of degree 2m deg(a)
+    a_m = a_lift ** checked_power(a, m, dense=bool(parts))
     weighted = _merge(((w, a_m * t) for w, t in _neg_one_mod(parts)), gen)
     v = a_m * a_m
     for w, h in weighted:

@@ -457,27 +457,36 @@ class TestMalformedCertificates:
         assert _usage_error(*run(capsys, "cert", "verify", str(tmp_path / "none.json")))
 
 
-def _in_budget(degree: int, bits: int) -> bool:
+def _in_budget(degree: int, bits: int, dense: bool = True) -> bool:
     """The size rule of `parsing`, from its constants: degree at most
-    MAX_EXPONENT and (degree+1) * max(degree+1, bits) at most MAX_POWER_SIZE."""
-    return degree <= MAX_EXPONENT and (degree + 1) * max(degree + 1, bits) <= MAX_POWER_SIZE
+    MAX_EXPONENT and a size at most MAX_POWER_SIZE, the size of a dense value
+    (degree+1) * max(degree+1, bits) and that of a monomial its bits."""
+    size = (degree + 1) * max(degree + 1, bits) if dense else bits
+    return degree <= MAX_EXPONENT and size <= MAX_POWER_SIZE
 
 
-def _power(doc: dict) -> tuple[int, int]:
+def _power(doc: dict) -> tuple[int, int, bool]:
     """The degree 2m * max(deg base, 1) and the bits 2m * (bit length of the
-    base's height) of the power base^(2m) a document asks cert verify to expand."""
+    base's height) of the power base^(2m) a document asks cert verify to
+    expand, and whether it is dense: all but a one-term base in Q[x] are."""
     ring = parse_ring(doc["ring"])
     base = ring.elem(parse_poly(doc["element"] if doc["kind"] == "real-radical" else doc["f"]))
     n = 2 * doc["k" if doc["kind"] == "glue" else "m"]
-    return n * max(base.rep.degree, 1), n * base.rep.height.bit_length()
+    dense = base.rep.terms != 1 or ring.is_quotient
+    return n * max(base.rep.degree, 1), n * base.rep.height.bit_length(), dense
 
 
 def _largest_exponent(doc: dict, key: str) -> int:
-    """The largest doc[key] whose power is within the budget; doc keeps it."""
-    doc[key] = 0
-    while _in_budget(*_power({**doc, key: doc[key] + 1})):
-        doc[key] += 1
-    return doc[key]
+    """The largest doc[key] whose power is within the budget; doc keeps it.
+    The budget is monotone in the exponent, so the search doubles, then bisects."""
+    low, high = 0, 1
+    while _in_budget(*_power({**doc, key: high})):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if _in_budget(*_power({**doc, key: mid})) else (low, mid)
+    doc[key] = low
+    return low
 
 
 _BASE_KEY = {"real-radical": "element", "subcover": "f", "glue": "f"}
@@ -501,7 +510,8 @@ class TestExponentBudget:
         code, out, _ = run(capsys, *_CERT_COMMANDS[kind])
         doc = json.loads(out)
         # x^2 has degree 2, or 1 once reduced in Q[x]/(x^2-x); x+1 and 3 have
-        # more bits than degree, and a constant counts as degree 1
+        # more bits than degree, and a constant counts as degree 1. In Q[x] a
+        # one-term base is a shift, so x^2 and 3 reach the degree limit there
         for base, degree in (("x^2", 1 if kind == "glue" else 2), ("x+1", 1), ("3", 1)):
             doc[_BASE_KEY[kind]] = base
             m = _largest_exponent(doc, key)
@@ -608,6 +618,41 @@ class TestExponentBudget:
         assert (code, out) == want
         if code:
             assert err == "error: (x^65536)^(2) has degree above 65536\n"
+
+    def test_monomial_power_is_a_shift(self, capsys, monkeypatch):
+        """In Q[x] a one-term f^(2m) is costed as a shift, as the parser costs
+        x^1024: x^512 answers where a dense cost refused it, and its document
+        verifies. A quotient reduces the power, and a non-real factor of the
+        ideal makes the witness's cofactor dense, so both stay dense."""
+        code, out, _ = run(capsys, "cert", "find", "--json", "x", "x^512")
+        assert code == 0 and json.loads(out)["m"] == 1
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert run(capsys, "cert", "verify")[:2] == (0, "verified: true\n")
+        want = "member: true\ncertificate: m=1 sos=[] cofactor=x^1021\n"
+        assert run(capsys, "cert", "find", "x", "x^511")[:2] == (0, want)
+        for argv in (("--ring", "Q[x]/(x^1100)", "x"), ("x*(x^2+1)",)):
+            assert run(capsys, "cert", "find", *argv, "x^511")[0] == 0
+            code, out, err = run(capsys, "cert", "find", *argv, "x^512")
+            assert _usage_error(code, out, err)
+            assert err == f"error: (x^512)^(2) has size above {MAX_POWER_SIZE} bits\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        (("cert", "find", "x^64", "x*(x+1)^200"),
+         f"(a degree-201 polynomial)^(64) has size above {MAX_POWER_SIZE} bits"),
+        (("subcover", "--f", "x*(x+1)^200", "x^64"),
+         f"(a degree-201 polynomial)^(64) has size above {MAX_POWER_SIZE} bits"),
+        (("cert", "find", "x^74", "(10^4299)*x"),
+         f"(a degree-1 polynomial)^(74) has size above {MAX_POWER_SIZE} bits"),
+        (("cert", "find", "x", "(2^64-1)*x^32769"),
+         "(18446744073709551615*x^32769)^(2) has degree above 65536"),
+    ], ids=["dense", "dense-subcover", "long-coefficient", "word-coefficient"])
+    def test_refused_power_names_its_base_briefly(self, capsys, argv, want):
+        """A refused power is one line under 200 bytes: a monomial with a
+        word-size coefficient is named as printed, any other base by its
+        degree, never by its expansion."""
+        code, out, err = run(capsys, *argv)
+        assert _usage_error(code, out, err) and err == f"error: {want}\n"
+        assert len(err.encode()) < 200
 
     def test_certify_corpus_within_budget(self, capsys, monkeypatch):
         """Every document of the benchmark's certify corpus stays under the
@@ -894,4 +939,4 @@ class TestRoundTrip:
             capture_output=True, text=True, env=env, check=False, timeout=10,
         )
         assert _usage_error(proc.returncode, proc.stdout, proc.stderr)
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and len(proc.stderr.encode()) < 200

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_inner_gcd
@@ -16,6 +17,7 @@ from realspec import (
     Poly,
     bezout_many,
     count_real_roots,
+    ext_gcd,
     factor,
     gcd,
     has_real_root,
@@ -26,6 +28,7 @@ from realspec.parsing import parse_poly as P
 from realspec.polynomials import _count_real_roots_cached, _factor_cached
 
 from helpers import (
+    _strip,
     count_real_roots_oracle,
     derivative,
     euclid_gcd,
@@ -137,6 +140,13 @@ def assert_canonical(p: Poly) -> None:
     assert math.gcd(*p._p) == 1 and p._p[-1] > 0
 
 
+def assert_two_int_content(p: Poly) -> None:
+    """The content is two coprime ints n/d with d > 0, and n = 0 only for zero."""
+    assert type(p._n) is int and type(p._d) is int
+    assert p._d > 0 and math.gcd(p._n, p._d) == 1
+    assert (p._n == 0) == p.is_zero()
+
+
 def wide_polys(max_deg=6):
     return st.lists(fractions(60, 12), max_size=max_deg + 1).map(Poly)
 
@@ -165,6 +175,32 @@ class TestKernelAgainstFractionReference:
         assert (a * b).coeffs == frac_mul(a, b)
         assert (a * b) * c == a * (b * c) and a * (b + c) == a * b + a * c
         assert (a - b) + b == a and a - a == Poly.zero()
+
+    @given(wide_polys(), wide_polys(), fractions(60, 12), st.lists(fractions(60, 12), max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_content_is_two_ints(self, a, b, c, cs):
+        """Every arithmetic result carries its content as two ints, and its
+        coefficients are those of the plain Fraction-list reference."""
+        xs, ys = list(a.coeffs), list(b.coeffs)
+        width = max(len(xs), len(ys))
+        xs0, ys0 = xs + [Fraction(0)] * (width - len(xs)), ys + [Fraction(0)] * (width - len(ys))
+        results = [
+            (a + b, [x + y for x, y in zip(xs0, ys0)]),
+            (a - b, [x - y for x, y in zip(xs0, ys0)]),
+            (-a, [-x for x in xs]),
+            (a * b, frac_mul(a, b)),
+            (a.scale(c), [c * x for x in xs]),
+            (Poly(cs), cs),
+        ]
+        if not a.is_zero():
+            results.append((a.monic(), [x / xs[-1] for x in xs]))
+        if not b.is_zero():
+            quo, rem = divmod(a, b)
+            ref_quo, ref_rem = frac_divmod(a, b)
+            results += [(quo, ref_quo), (rem, ref_rem)]
+        for p, ref in results:
+            assert_two_int_content(p)
+            assert p.coeffs == _strip(list(ref))
 
     @given(wide_polys(), fractions(60, 12), st.integers(0, 5))
     @settings(max_examples=150, deadline=None)
@@ -240,6 +276,18 @@ class TestGcd:
         assert g.divides(P("x^2-1")) and g.divides(P("x^2-2*x+1"))
         assert gcd(P("3*x^2-3"), Poly.zero()) == P("x^2-1")
         assert gcd(P("x-1"), P("x+1")) == Poly.one()
+
+    @given(st.one_of(polys(4), fractions().map(Poly.const)), fractions(60, 12).filter(bool), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_ext_gcd_constant_argument(self, p, c, constant_first):
+        """A nonzero constant answers at once, with the Bezout pair of the
+        Euclid loop: the identity holds and sympy's gcdex agrees."""
+        args = (Poly.const(c), p) if constant_first else (p, Poly.const(c))
+        g, s, t = ext_gcd(*args)
+        assert g == Poly.one() and s * args[0] + t * args[1] == g
+        if not args[1].is_zero():  # sympy's gcdex divides by its second argument
+            want = sympy.gcdex(to_sympy(args[0]), to_sympy(args[1]))
+            assert (s, t, g) == tuple(from_sympy(w) for w in want)
 
     def test_gcd_zero_zero(self):
         with pytest.raises(DomainError):
