@@ -5,16 +5,15 @@ primitive integer tuple ``_p`` (index = degree, entries of gcd 1, last entry
 positive); the zero polynomial is ``(0, 1, ())``. The form is unique, so
 equality and hashing compare the triple. Arithmetic runs on Python ints and
 reduces each content with one integer gcd. By Gauss's lemma a product of
-primitive polynomials is primitive, so ``*`` is an integer convolution, one
-row per nonzero entry of the shorter operand, times the product of the
-contents; ``**`` is `power`; ``+`` takes one integer gcd; division is
-integer long division that scales by the divisor's leading entry only when
-it does not divide the current leading term (a monic integer modulus never
-scales). ``Fraction`` is only the boundary's: ``Poly(...)``, `const`,
-`monomial` and `scale` take it, and ``coeffs``, ``leading``,
-``coefficient``, ``_c`` and `Factorization.unit` build it on demand.
-Printing reduces each coefficient with one integer gcd, and a coefficient
-with more digits than the interpreter converts is a `DomainError`.
+primitive polynomials is primitive, so ``*`` is an integer convolution over
+the nonzero entries of both operands, a shift for a monomial, times the
+product of the contents; ``**`` is `power`; division is integer long division
+that scales by the divisor's leading entry only when it does not divide the
+current leading term (a monic integer modulus never scales). ``Fraction`` is
+only the boundary's: ``Poly(...)``, `const`, `monomial` and `scale` take it,
+and ``coeffs``, ``leading``, ``coefficient``, ``_c`` and `Factorization.unit`
+build it on demand. Printing reduces each coefficient with one integer gcd,
+and one with more digits than the interpreter converts is a `DomainError`.
 
 On top of the arithmetic this module provides the number-theoretic toolbox
 the rest of the library runs on: monic gcd with Bezout coefficients,
@@ -217,10 +216,11 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
+        nonzero = [(j, y) for j, y in enumerate(a) if y]  # so a product with a monomial is a shift
         for i, x in enumerate(b):
             if x:
-                for j, y in enumerate(a, i):
-                    out[j] += x * y
+                for j, y in nonzero:
+                    out[i + j] += x * y
         return _reduced(self._n * other._n, self._d * other._d, tuple(out))  # primitive by Gauss's lemma
 
     def scale(self, value: Coeff) -> "Poly":
@@ -321,8 +321,7 @@ class Poly:
         return f"Poly({str(self)!r})"
 
 
-# slot setters, past the immutability guard
-_set_n, _set_d, _set_p = Poly._n.__set__, Poly._d.__set__, Poly._p.__set__
+_set_n, _set_d, _set_p = Poly._n.__set__, Poly._d.__set__, Poly._p.__set__  # past the immutability guard
 
 
 def _make(num: int, den: int, prim: tuple[int, ...]) -> Poly:

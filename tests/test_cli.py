@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -635,6 +636,34 @@ class TestExponentBudget:
             code, out, err = run(capsys, "cert", "find", *argv, "x^512")
             assert _usage_error(code, out, err)
             assert err == f"error: (x^512)^(2) has size above {MAX_POWER_SIZE} bits\n"
+
+    _DENSE = " + ".join(f"x^{i}" for i in range(1024))  # a long literal, costed by its bits
+    _SHIFTED = {  # f^(2m) is x^32768 (x^65534 for subcover) times a dense degree-1023 value
+        "subcover": ["subcover", "--f", "x^32767", "(x-1)*(x^2+1)^511", "x+1"],
+        "cert-verify-glue": ["cert", "verify"],
+        "sigma-eq": ["sigma-eq", "--f", "x^16384", "--num1", _DENSE, "--num2", _DENSE,
+                     "--m1", "1", "--m2", "1"],
+    }
+
+    @pytest.mark.parametrize("name", list(_SHIFTED))
+    def test_monomial_power_times_dense_is_fast(self, capsys, monkeypatch, name):
+        """A power admitted as a shift stays a shift in every later product:
+        `*` skips the zeros of both operands, so each command takes a few
+        thousand multiplications where walking the power's zeros took about
+        1e8 (seconds). The glue document, read from stdin, has f = x^16384,
+        k = 1, one patch a/1 with a dense a, and its closing identity holds."""
+        doc = {"kind": "glue", "ring": "Q[x]", "f": "x^16384", "k": 1, "sos": [],
+               "coeffs": ["x^32768"], "patches": [{"a": self._DENSE, "g": "1"}],
+               "numerator": " + ".join(f"x^{i + 32768}" for i in range(1024))}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *self._SHIFTED[name])
+        assert time.perf_counter() - start < 1.0
+        if name == "subcover":  # cofactor x^65534 times a Bezout coefficient of degree 1022
+            assert _usage_error(code, out, err)
+            assert err == "error: certificate coefficient has degree above 65536\n"
+        else:
+            assert (code, out) == (0, "verified: true\n" if name == "cert-verify-glue" else "true\n")
 
     @pytest.mark.parametrize("argv, want", [
         (("cert", "find", "x^64", "x*(x+1)^200"),

@@ -600,6 +600,19 @@ def yun_inputs(draw):
     return [c // g for c in f]
 
 
+class TestSparseProduct:
+    @given(int_polys(), int_polys(), fractions(60, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_product_is_the_convolution(self, a, b, c):
+        """`*` skips the zeros of both operands, dense or sparse up to degree
+        300, in either order, and still gives the whole convolution."""
+        p, q = Poly(a).scale(c), Poly(b)
+        want = [c * x for x in _int_mul(a, b)] if c else []
+        for r in (p * q, q * p):
+            assert list(r.coeffs) == want
+            assert_two_int_content(r)
+
+
 class TestIntegerGcdAndYun:
     """The Z[x] kernel's gcd with cofactors and Yun's decomposition against
     sympy's dup_inner_gcd (the cofactor form of dup_gcd) and dup_sqf_list."""
