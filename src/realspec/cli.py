@@ -27,7 +27,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import DomainError, InputError, ParseError
+from .errors import DomainError, InputError, NotASectionError, ParseError
 from .explore import ExploreConfig, explore_question
 from .parsing import parse_poly, parse_ring
 from .polynomials import check_size, count_real_roots, factor, real_part
@@ -319,6 +319,8 @@ def _cmd_section_eq(args):
     ring = parse_ring(args.ring)
     s1 = _section_from_args(args, ring)
     s2 = Section(ring, s1.f, tuple(_parse_patch(ring, p) for p in args.other))
+    if not (section_validate(s1).ok and section_validate(s2).ok):
+        raise NotASectionError("the local data is not a section")
     result = section_eq(s1, s2)
     return {"equal": result}, [str(result).lower()]
 

@@ -11,26 +11,26 @@ product of the contents; ``**`` is `power`; division is integer long division
 that scales by the divisor's leading entry only when it does not divide the
 current leading term (a monic integer modulus never scales). ``Fraction`` is
 only the boundary's: ``Poly(...)``, `const`, `monomial` and `scale` take it,
-and ``coeffs``, ``leading``, ``coefficient``, ``_c`` and `Factorization.unit`
-build it on demand. Printing reduces each coefficient with one integer gcd,
+and ``coeffs``, ``leading``, ``coefficient`` and `Factorization.unit` build
+it on demand. Printing reduces each coefficient with one integer gcd,
 and one with more digits than the interpreter converts is a `DomainError`.
 
-On top of the arithmetic this module provides the number-theoretic toolbox
-the rest of the library runs on: monic gcd with Bezout coefficients,
-complete factorization over Q, Sturm real-root counting, and the real part
-(the monic product of the real-rooted irreducible factors). Factoring and
-the real part go one squarefree component at a time, and the real part
-factors only what a Sturm count cannot settle; a root count is the sum of
-the Sturm counts of the components. gcd, Yun's squarefree decomposition and
-factoring run on ``_p`` in the Z[x] kernel `zassenhaus`, on Python ints: a
+On top of the arithmetic this module provides the number-theoretic toolbox the
+rest of the library runs on: monic gcd with Bezout coefficients, complete
+factorization over Q, Sturm real-root counting, the real part (the monic
+product of the real-rooted irreducible factors) and real radical membership,
+`has_real_root_outside`. The last four go one squarefree component at a time: a
+root count is the sum of the Sturm counts of the components, and the real part
+factors only what a count cannot settle. gcd, Yun's squarefree decomposition
+and factoring run on ``_p`` in the Z[x] kernel `zassenhaus`, on Python ints: a
 heuristic gcd at a power of two checked by exact division, Yun on its
 cofactors, and per component Cantor-Zassenhaus mod a small prime p, a Hensel
-lift to p^l past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient|
-* lc, and recombination of the lifted factors. Sturm sequences run on the
-same int lists, with pseudo-remainders kept positive multiples of the true
-ones; an odd-degree polynomial has a real root without one. Bezout runs on
-Poly arithmetic. Root counts and real parts are invariant under scaling, so
-their caches are keyed on ``_p``; factorizations on ``(_n, _d, _p)``.
+lift to p^l past twice the Mignotte bound sqrt(n+1) * 2^n * max|coefficient| *
+lc, and recombination of the lifted factors. Sturm sequences run on the same
+int lists, with pseudo-remainders kept positive multiples of the true ones; an
+odd-degree polynomial has a real root without one. Bezout runs on Poly
+arithmetic. Root counts and real parts are invariant under scaling, so their
+caches are keyed on ``_p``; factorizations on ``(_n, _d, _p)``.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ class Poly:
         return _make(c.numerator, c.denominator, (0,) * power + (1,)) if c else _ZERO
 
     # -- basic queries ------------------------------------------------
-
-    @property
-    def _c(self) -> Fraction:
-        return Fraction(self._n, self._d)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -427,18 +423,6 @@ def bezout_many(fs: Sequence[Poly]) -> tuple[Poly, list[Poly]]:
     return g, coeffs
 
 
-def strip(p: Poly, d: Poly) -> Poly:
-    """p without any copy of the primes of d, for d a monic divisor of p. d
-    keeps the primes p still shares with the first d; while all of d is left
-    after a pass, the next d is gcd(p, d^2): O(log k) passes for
-    multiplicity k."""
-    while not d.is_one():
-        p = p // d
-        e = gcd(p, d)
-        d = gcd(p, e * e) if e == d else e
-    return p
-
-
 # ---------------------------------------------------------------------------
 # factorization over Q (Yun, then each component by `zassenhaus`)
 
@@ -539,6 +523,22 @@ def has_real_root(p: Poly) -> bool:
     """True iff p has a real root. Every odd degree has one, so only an even
     degree is counted (the zero polynomial goes to the count's error)."""
     return (len(p._p) % 2 == 0 and not p.is_zero()) or count_real_roots(p) > 0
+
+
+def has_real_root_outside(p: Poly, d: Poly) -> bool:
+    """True iff a nonzero p has a real root that d lacks: an irreducible
+    factor of p with a real root and not dividing d. With h = gcd(p, d) and
+    q = p/h, the factors of p not dividing d are those of q not dividing h,
+    each in exactly one Yun component c of q: the factors of the squarefree
+    c/gcd(c, h)."""
+    if len(p._p) == 1:  # a nonzero constant has no root
+        return False
+    h, q, _ = kernel.gcd(list(p._p), list(d._p))
+    for c, _mult in kernel.yun(q):
+        c = kernel.gcd(c, h)[1]
+        if len(c) % 2 == 0 or (len(c) > 1 and _sturm(c)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

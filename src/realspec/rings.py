@@ -38,9 +38,9 @@ from .polynomials import (
     factor,
     gcd,
     has_real_root,
+    has_real_root_outside,
     power,
     real_part,
-    strip,
 )
 
 ElemLike = Union["RingElem", Poly]
@@ -279,12 +279,12 @@ def real_radical(ideal: Ideal) -> Ideal:
 
 
 def real_radical_member(ideal: Ideal, a: RingElem) -> bool:
-    """Strip from gen every factor it shares with a, multiplicities too; a
-    is a member iff what remains has no real root."""
+    """a is a member iff every real prime containing the ideal contains a,
+    so iff gen has no real root that a lacks (the real Nullstellensatz)."""
     gen = ideal.gen
     if gen.is_zero():
         return a.is_zero()
-    return not has_real_root(strip(gen, gcd(gen, a.rep)))
+    return not has_real_root_outside(gen, a.rep)
 
 
 # ---------------------------------------------------------------------------

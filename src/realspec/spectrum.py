@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError, NotACoverError, RingMismatchError
-from .polynomials import Poly, has_real_root, is_irreducible, strip
+from .polynomials import Poly, has_real_root, is_irreducible
 from .rings import (
     Certificate,
     Ideal,
@@ -83,17 +83,15 @@ class ClosedSet:
 def v_of(ideal: Ideal) -> ClosedSet:
     """Closed set of an ideal, canonicalized through the real radical.
 
-    In a quotient it is the whole space when every real-rooted irreducible
-    factor of the modulus m divides the radical's generator gen, decided by
-    one real-root test, not by factoring m. gen divides m, so stripping
-    every copy of gen's primes from m leaves the product of m's other
-    factors, and it is the whole space iff that has no real root.
+    It is the whole space V(0) iff the radical's generator gen lies in the
+    real radical of the zero ideal, decided by the one membership test
+    `real_radical_member`, not by factoring the modulus. The empty set keeps
+    its gen 1, also in a ring with no real prime.
     """
     ring = ideal.ring
     gen = real_radical(ideal).gen
-    if ring.is_quotient and not gen.is_one():
-        if not has_real_root(strip(ring.modulus, gen)):
-            gen = Poly.zero()  # every real prime contains the ideal
+    if not gen.is_one() and real_radical_member(ring.zero_ideal(), ring.elem(gen)):
+        gen = Poly.zero()  # every real prime contains the ideal
     return ClosedSet(ring, gen)
 
 

@@ -303,6 +303,15 @@ class TestSections:
         )
         assert (code, out.strip()) == (0, "false")
 
+    @pytest.mark.parametrize("other", ["x:x", "0:1"])
+    def test_section_eq_refuses_non_sections(self, capsys, other):
+        # D(x) and D(0) do not cover D(1): neither side is compared, either way round
+        error = (3, "", "error: the local data is not a section\n")
+        assert run(capsys, "section", "eq", "--f", "1", "--patch", "1:1", "--other", other) == error
+        assert run(capsys, "section", "eq", "--f", "1", "--patch", other, "--other", "1:1") == error
+        assert run(capsys, "section", "validate", "--f", "1", "--patch", other)[:2] == (
+            0, "valid: false\ncover: false\n")
+
     def test_sigma_eq(self, capsys):
         code, out, _ = run(
             capsys,
@@ -611,8 +620,8 @@ class TestExponentBudget:
     def test_largest_admitted_prime_power(self, capsys, argv, want):
         """x^65536 against its prime x, in well under a second each: the
         witness reads x's multiplicity in x^65536 only up to the ideal's, and
-        the real radical test strips 65536 copies of x in a logarithmic
-        number of gcds, not one gcd per copy. A certificate for x^65536 has
+        the real radical test takes one gcd and a Yun decomposition of its
+        cofactor, not one gcd per copy of x. A certificate for x^65536 has
         f = x^65536 and m = 1, and f^2 is past the budget, so the three
         certificate commands refuse it as cert verify refuses its document."""
         code, out, err = run(capsys, *argv)

@@ -25,9 +25,10 @@ from realspec import (
     real_part,
 )
 from realspec.parsing import parse_poly as P
-from realspec.polynomials import _count_real_roots_cached, _factor_cached
+from realspec.polynomials import _count_real_roots_cached, _factor_cached, has_real_root_outside
 
 from helpers import (
+    ROUTE_POOL,
     _strip,
     count_real_roots_oracle,
     derivative,
@@ -44,6 +45,7 @@ from helpers import (
     random_structured_poly,
     reference_factor,
     reference_real_part,
+    route_factors,
     route_products,
     to_sympy,
 )
@@ -133,9 +135,9 @@ class TestArithmetic:
 def assert_canonical(p: Poly) -> None:
     """Content times primitive integer tuple, leading entry positive."""
     if p.is_zero():
-        assert (p._c, p._p) == (0, ())
+        assert (p._n, p._d, p._p) == (0, 1, ())
         return
-    assert type(p._c) is Fraction and p._c != 0
+    assert type(p._n) is type(p._d) is int and p._n != 0 < p._d and math.gcd(p._n, p._d) == 1
     assert all(type(x) is int for x in p._p)
     assert math.gcd(*p._p) == 1 and p._p[-1] > 0
 
@@ -251,13 +253,13 @@ class TestKernelAgainstFractionReference:
         ]
         for p in routes:
             assert_canonical(p)
-            assert (p._c, p._p) == (half, (1, 2))
+            assert (p._n, p._d, p._p) == (1, 2, (1, 2))
             assert p == routes[0] and hash(p) == hash(routes[0])
-        assert (Poly.zero()._c, Poly.zero()._p) == (0, ())
+        assert (Poly.zero()._n, Poly.zero()._d, Poly.zero()._p) == (0, 1, ())
         assert_canonical(P("x") - P("x"))
         assert_canonical(Poly([0, 0, 0]))
         neg = -P("3*x-6")  # -3 * (x - 2): the sign sits in the content
-        assert (neg._c, neg._p) == (-3, (-2, 1))
+        assert (neg._n, neg._d, neg._p) == (-3, 1, (-2, 1))
 
     @given(wide_polys(8))
     @settings(max_examples=150, deadline=None)
@@ -746,3 +748,40 @@ class TestHasRealRoot:
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_count(self, p):
         assert has_real_root(p) == (count_real_roots(p) > 0) == (count_real_roots_oracle(p) > 0)
+
+
+class TestHasRealRootOutside:
+    """Against the factor definition: some irreducible factor of p (sympy's)
+    has a real root, by the Descartes oracle, and does not divide d."""
+
+    @staticmethod
+    def by_factor_definition(p, d):
+        return any(count_real_roots_oracle(f) > 0 and not f.divides(d) for f, _ in reference_factor(p).factors)
+
+    @given(route_factors(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_factor_definition(self, pieces, data):
+        unit = Poly.const(data.draw(st.sampled_from([-2, 1, Fraction(3, 4)])))
+        p, d = unit, unit.scale(-3)
+        for q, k in pieces:
+            p = p * q**k
+            d = d * q ** data.draw(st.integers(0, k + 1))
+        shape = data.draw(st.sampled_from(["some", "foreign", "zero", "constant"]))
+        if shape == "foreign":  # times a pool member that p does not have
+            d = d * data.draw(st.sampled_from([q for q in ROUTE_POOL if q not in dict(pieces)]))
+        elif shape == "zero":
+            d = Poly.zero()
+        elif shape == "constant":
+            d = unit
+        assert has_real_root_outside(p, d) == self.by_factor_definition(p, d)
+
+    def test_edge_cases(self):
+        for p in ("3", "-1/2"):
+            for d in ("0", "5", "x", "x^2-2"):
+                assert not has_real_root_outside(P(p), P(d))
+        assert not has_real_root_outside(P("(x-1)^3*(x^2+1)"), P("0"))
+        assert has_real_root_outside(P("(x-1)^3*(x^2+1)"), P("7"))
+        assert not has_real_root_outside(P("(x-1)^3*(x^2+1)"), P("x-1"))
+        assert has_real_root_outside(P("(x-1)^3*(x^2-2)^2"), P("(x-1)^5*(x^2+1)"))
+        assert not has_real_root_outside(P("x") ** 65536, P("x"))
+        assert has_real_root_outside(P("x") ** 65536 * P("x+2"), P("x"))

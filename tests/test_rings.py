@@ -331,7 +331,7 @@ class TestRealRadical:
         assert real_radical_member(BASE.ideal(P("-3*(x^2+1)^2")), BASE.zero())
         assert real_radical_member(BASE.unit_ideal(), x)
         assert real_radical_member(BASE.ideal(P("-2*x^3*(x^2+2)")), x)
-        # multiplicities far apart: x^4096 is stripped in doubling passes, (x-1)^3 in two
+        # multiplicities far apart: Yun reads x^4096 and (x-1)^3 off the gcd's cofactor
         gen = BASE.ideal(P("x") ** 4096 * P("(x-1)^3*(x^2+1)"))
         assert real_radical_member(gen, BASE.elem(P("x^2-x")))
         assert not real_radical_member(gen, x)

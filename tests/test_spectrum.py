@@ -27,8 +27,9 @@ from realspec import (
     verify_certificate,
 )
 from realspec.parsing import parse_poly as P
+import realspec.zassenhaus as zassenhaus
 from realspec.polynomials import has_real_root
-from realspec.rings import ideal_sum
+from realspec.rings import ideal_sum, real_radical_member
 
 from helpers import (
     ROUTE_POOL,
@@ -186,9 +187,10 @@ class TestOneContainmentRule:
 
 
 class TestVOfByRootCount:
-    """v_of decides "V(I) is everything" by stripping the radical's primes
-    from the modulus and testing the rest for a real root; the factoring
-    route, gen == real_part(m), and the factor definition are the references."""
+    """v_of decides "V(I) is everything" by the one membership test: the
+    radical's generator is in the real radical of the zero ideal (m) iff m
+    has no real root that it lacks; the factoring route, gen ==
+    real_part(m), and the factor definition are the references."""
 
     @given(route_factors(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -231,8 +233,23 @@ class TestVOfByRootCount:
             if i or j:
                 assert v_of(ideal).is_whole() == self.by_factor_definition(ideal) == (i > 0 and j > 0)
         assert vset(ring, "(x-1)^2*(x^2+1)").gen == P("x-1")
-        # multiplicity 65536 is stripped in O(log) passes, not one pass per copy
+        # multiplicity 65536 goes to the cofactor x^65535 of one gcd, and Yun reads it
         assert vset(quot("x^65536"), "x").is_whole()
+
+    @pytest.mark.parametrize("case", ["v_of", "member"])
+    def test_x_against_x65536_in_few_gcds(self, monkeypatch, case):
+        """One gcd, one Yun and one gcd per Yun component: a bounded number of
+        kernel gcds, not one per pass of a loop that divides out copies of x."""
+        if case == "v_of":
+            ideal = quot("x^65536").ideal(P("x"))
+            decide = lambda: v_of(ideal).is_whole()
+        else:
+            ideal, a = BASE.ideal(P("x") ** 65536), BASE.elem(P("x"))
+            decide = lambda: real_radical_member(ideal, a)
+        calls, gcd = [], zassenhaus.gcd
+        monkeypatch.setattr(zassenhaus, "gcd", lambda f, g: calls.append(1) or gcd(f, g))
+        assert decide()
+        assert len(calls) <= 6
 
     def test_whole_space_with_non_real_and_repeated_factors(self):
         ring = quot("(x-1)^2*(x^3-2)*(x^2+1)")
